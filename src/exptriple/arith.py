@@ -210,26 +210,82 @@ def introot(n: int, k: int) -> int:
         x = y
 
 
+def residue_table(p: int, m: int) -> bytes:
+    """Byte i is 1 exactly when i is a p-th power residue modulo m."""
+    admitted = bytearray(m)
+    for r in range(m):
+        admitted[pow(r, p, m)] = 1
+    return bytes(admitted)
+
+
+# Residue sieves in front of root extraction (after the GMP manual's
+# perfect-square test): a p-th power must be a p-th power residue modulo
+# every listed m; larger primes go straight to the root.  The later
+# moduli matter for the search's sums g^w * a1^x + b1^y, whose residues
+# modulo 64, 63 or 121 follow the parts: on the catalogue box, fifth-power
+# root extractions in one cell fell from about 5,000 with 121 alone to 54.
+POWER_SIEVES: dict[int, tuple[tuple[int, bytes], ...]] = {
+    p: tuple((m, residue_table(p, m)) for m in moduli)
+    for p, moduli in ((2, (64, 63, 65, 11)), (3, (63, 91, 37)), (5, (121, 31, 41, 61)))
+}
+
+
+def _prime_root(n: int, p: int) -> int | None:
+    """The integer r with r**p == n for a prime p, or None."""
+    if p == 2:
+        r = math.isqrt(n)
+    elif n.bit_length() > 100:
+        r = introot(n, p)
+    else:
+        # float seed, then exact correction by at most a step or two
+        r = max(1, int(round(n ** (1.0 / p))))
+        while r > 1 and r**p > n:
+            r -= 1
+        while (r + 1) ** p <= n:
+            r += 1
+    return r if r**p == n else None
+
+
+def perfect_powers(n: int, max_exp: int) -> list[tuple[int, int]]:
+    """All (r, e) with r**e == n, r >= 2 and 2 <= e <= max_exp, by ascending e.
+
+    Roots are extracted for prime exponents only, each behind its residue
+    sieve; a composite exponent comes from recursing on a root, so
+    n = r**2 with r = s**2 also yields (s, 4).
+    """
+    top = min(max_exp, n.bit_length() - 1)
+    if top < 2:
+        return []
+    primes = _small_primes() if top <= _TRIAL_LIMIT else range(2, top + 1)
+    found: dict[int, int] = {}
+    for p in primes:
+        if p > top:
+            break
+        if top > _TRIAL_LIMIT and not is_prime(p):
+            continue
+        for m, admitted in POWER_SIEVES.get(p, ()):
+            if not admitted[n % m]:
+                break
+        else:
+            r = _prime_root(n, p)
+            if r is not None:
+                found[p] = r
+                for s, e in perfect_powers(r, max_exp // p):
+                    found[p * e] = s
+    return [(found[e], e) for e in sorted(found)] if found else []
+
+
 def power_representations(n: int, max_exp: int | None = None) -> list[tuple[int, int]]:
     """All pairs (base, e) with base**e == n and e >= 1, exponent 1 included.
 
-    n = 1 yields only the degenerate pair (1, 1).
+    Pairs come by ascending exponent, and n = 1 yields only the
+    degenerate pair (1, 1).
     """
     if n < 1:
         raise ValueError(f"need a positive integer, got {n}")
     if n == 1:
         return [(1, 1)]
-    reps = [(n, 1)]
-    top = n.bit_length()
-    if max_exp is not None:
-        top = min(top, max_exp)
-    for e in range(2, top + 1):
-        r = introot(n, e)
-        if r < 2:
-            break
-        if r**e == n:
-            reps.append((r, e))
-    return reps
+    return [(n, 1)] + perfect_powers(n, n.bit_length() if max_exp is None else max_exp)
 
 
 def least_index(R: int, S: int, M: int, eps: int, cap: int = 10**6) -> int | None:

@@ -32,7 +32,14 @@ from itertools import combinations
 from multiprocessing import Pool
 from typing import Iterable
 
-from .arith import Factored, factorize, introot, is_prime, power_representations
+from .arith import (
+    Factored,
+    factorize,
+    is_prime,
+    perfect_powers,
+    power_representations,
+    residue_table,
+)
 from .classify import type_profile
 from .config import RunConfig, SearchBounds
 from .errors import InternalInvariantError, UsageError
@@ -538,12 +545,12 @@ def run_pipeline(
         config = RunConfig()
     stats: Counter[str] = Counter()
 
-    unique = sorted({(r.A, r.B, r.C) for r in records})
+    unique = {record.as_tuple(): record for record in records}
     stats["records"] = len(unique)
 
     buckets: dict[tuple[int, int, int, int], tuple[list[Shape53], list[Shape54]]] = {}
-    for A, B, C in unique:
-        record = make_equation(A, B, C)
+    for key in sorted(unique):
+        record = unique[key]
         for variant in (record, record.swapped()):
             for shape in decompose(variant, "left"):
                 buckets.setdefault(shape.key(), ([], []))[0].append(shape)
@@ -595,101 +602,98 @@ def run_pipeline(
 # ---------------------------------------------------------------------------
 
 
-def _bounded_roots(n: int, exp_cap: int) -> list[tuple[int, int]]:
-    """All (root, e) with root**e == n, root >= 2 and 2 <= e <= exp_cap."""
-    out = []
-    if n < 4:
-        return out
-    bits = n.bit_length()
-    use_exact = bits > 100
-    for e in range(2, min(exp_cap, bits) + 1):
-        if e == 2:
-            r = math.isqrt(n)
-        elif use_exact:
-            r = introot(n, e)
-        else:
-            # float seed, then exact correction by at most a step or two
-            r = int(round(n ** (1.0 / e)))
-            if r < 1:
-                r = 1
-            while r > 1 and r**e > n:
-                r -= 1
-            while (r + 1) ** e <= n:
-                r += 1
-        if r >= 2 and r**e == n:
-            out.append((r, e))
-    return out
+# Inline residue sieve in front of perfect_powers: a square is a square
+# residue modulo 64 and 63, a cube a cubic residue modulo 63 and a fifth
+# power a fifth-power residue modulo 121.
+_SQUARE64, _SQUARE63, _CUBE63, _FIFTH121 = (
+    residue_table(p, m) for p, m in ((2, 64), (2, 63), (3, 63), (5, 121))
+)
 
 
 def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ...]]:
     """Scan one (g, a1) cell of the box and return anomalous nine-tuples.
 
-    Sums are bucketed by (b1, c1) so that the quadratic pairing only
-    touches identity pairs that already agree on all four parts.
+    The cell is streamed one b1 at a time, and only that b1's data is
+    held.  Each left-carrying sum g^w1 * a1^x1 + b1^y1 is filed under
+    every c1 with c1^z1 equal to it: itself with z1 = 1 and each root
+    that perfect_powers finds.  The right-carrying sums
+    a1^x2 + g^w2 * b1^y2 are never root-tested; they are looked up in a
+    table of the powers c1^z2 of the filed c1, capped at the largest
+    right-side sum, since a right identity whose c1 has no left identity
+    pairs with nothing.  Every identity pair that agrees on c1 is then
+    solved and verified.
     """
     g, a1, bounds, max_bits = task
     exp_max = bounds.exp_max
+    exps = range(1, exp_max + 1)
     g_pows = [g**w for w in range(exp_max + 1)]
 
     if a1 == 1:
-        lefts = [(w, None, g_pows[w]) for w in range(1, exp_max + 1)]
+        lefts = [(w, None, g_pows[w]) for w in exps]
         pures = [(None, 1)]
     else:
         a_pows = [a1**x for x in range(exp_max + 1)]
-        lefts = [
-            (w, x, g_pows[w] * a_pows[x])
-            for w in range(1, exp_max + 1)
-            for x in range(1, exp_max + 1)
-        ]
-        pures = [(x, a_pows[x]) for x in range(1, exp_max + 1)]
-
-    second_bases = []
-    for b1 in range(1, bounds.b1_max + 1):
-        if b1 == 1:
-            if a1 > 1:
-                second_bases.append((1, [1, 1]))
-            continue
-        if math.gcd(b1, g) != 1 or math.gcd(b1, a1) != 1:
-            continue
-        second_bases.append((b1, [b1**y for y in range(exp_max + 1)]))
-
-    bucket53: dict[tuple[int, int], list[tuple[int, int | None, int, int]]] = {}
-    for w1, x1, left in lefts:
-        for b1, b_pows in second_bases:
-            for y1 in range(1, (1 if b1 == 1 else exp_max) + 1):
-                total = left + b_pows[y1]
-                bucket53.setdefault((b1, total), []).append((w1, x1, y1, 1))
-                for root, e in _bounded_roots(total, exp_max):
-                    bucket53.setdefault((b1, root), []).append((w1, x1, y1, e))
-
-    bucket54: dict[tuple[int, int], list[tuple[int | None, int, int, int]]] = {}
-    for x2, pure in pures:
-        for b1, b_pows in second_bases:
-            for w2 in range(1, exp_max + 1):
-                g_w = g_pows[w2]
-                for y2 in range(1, (1 if b1 == 1 else exp_max) + 1):
-                    total = pure + g_w * b_pows[y2]
-                    bucket54.setdefault((b1, total), []).append((x2, w2, y2, 1))
-                    for root, e in _bounded_roots(total, exp_max):
-                        bucket54.setdefault((b1, root), []).append((x2, w2, y2, e))
+        lefts = [(w, x, g_pows[w] * a_pows[x]) for w in exps for x in exps]
+        pures = [(x, a_pows[x]) for x in exps]
+    top_pure = max(pure for _, pure in pures)
+    # the inline residue tests cover exponents 2 to 6, all built from 2, 3, 5
+    unsieved = exp_max >= 7
 
     rows: set[tuple[int, ...]] = set()
-    for b1, c1 in bucket53.keys() & bucket54.keys():
-        if c1 < 2:
+    for b1 in range(1 if a1 > 1 else 2, bounds.b1_max + 1):
+        if math.gcd(b1, g) != 1 or math.gcd(b1, a1) != 1:
             continue
-        shapes54 = [
-            Shape54(a1, x2, g, w2, b1, y2, c1, z2)
-            for x2, w2, y2, z2 in bucket54[(b1, c1)]
-        ]
-        for w1, x1, y1, z1 in bucket53[(b1, c1)]:
-            s53 = Shape53(g, w1, a1, x1, b1, y1, c1, z1)
-            for s54 in shapes54:
-                system, _ = pair_and_solve(s53, s54)
-                if system is None:
+        b_exps = range(1, 2) if b1 == 1 else exps
+        b_pows = [b1**y for y in range(exp_max + 1)]
+
+        by_c: dict[int, list[tuple[int, int | None, int, int]]] = {}
+        for w1, x1, left in lefts:
+            for y1 in b_exps:
+                total = left + b_pows[y1]
+                by_c.setdefault(total, []).append((w1, x1, y1, 1))
+                r63 = total % 63
+                if not (
+                    unsieved
+                    or (_SQUARE64[total & 63] and _SQUARE63[r63])
+                    or _CUBE63[r63]
+                    or _FIFTH121[total % 121]
+                ):
                     continue
-                result = reconstruct_and_verify(s53, s54, system, max_bits)
-                if result.verdict is not None and result.verdict.kind == "anomalous":
-                    rows.add(result.nine.as_tuple())
+                for root, e in perfect_powers(total, exp_max):
+                    by_c.setdefault(root, []).append((w1, x1, y1, e))
+
+        cap = top_pure + g_pows[exp_max] * b_pows[b_exps[-1]]
+        c_powers: dict[int, list[tuple[int, int]]] = {}
+        for c1 in by_c:
+            value = c1
+            for z in exps:
+                if value > cap:
+                    break
+                c_powers.setdefault(value, []).append((c1, z))
+                value *= c1
+
+        by_c54: dict[int, list[tuple[int | None, int, int, int]]] = {}
+        for x2, pure in pures:
+            for w2 in exps:
+                g_w = g_pows[w2]
+                for y2 in b_exps:
+                    for c1, z2 in c_powers.get(pure + g_w * b_pows[y2], ()):
+                        by_c54.setdefault(c1, []).append((x2, w2, y2, z2))
+
+        for c1, entries54 in by_c54.items():
+            shapes54 = [
+                Shape54(a1, x2, g, w2, b1, y2, c1, z2)
+                for x2, w2, y2, z2 in entries54
+            ]
+            for w1, x1, y1, z1 in by_c[c1]:
+                s53 = Shape53(g, w1, a1, x1, b1, y1, c1, z1)
+                for s54 in shapes54:
+                    system, _ = pair_and_solve(s53, s54)
+                    if system is None:
+                        continue
+                    result = reconstruct_and_verify(s53, s54, system, max_bits)
+                    if result.verdict is not None and result.verdict.kind == "anomalous":
+                        rows.add(result.nine.as_tuple())
     return sorted(rows)
 
 

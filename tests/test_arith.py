@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exptriple.arith import (
+    POWER_SIEVES,
     Factored,
     as_power_of,
     factorize,
@@ -20,6 +21,7 @@ from exptriple.arith import (
     is_prime,
     least_index,
     lte_odd,
+    perfect_powers,
     power_representations,
     prime_set,
     prime_support_subset,
@@ -177,6 +179,41 @@ class TestPowers:
         assert all(base**exp == n for base, exp in reps)
         assert (n, 1) in reps
         assert (b, e) in reps
+
+
+class TestPerfectPowers:
+    def test_exhaustive_small(self):
+        # oracle: every r**e below the limit, listed by direct powering
+        limit = 5000
+        want: dict[int, list[tuple[int, int]]] = {}
+        for e in range(2, 7):
+            r = 2
+            while r**e < limit:
+                want.setdefault(r**e, []).append((r, e))
+                r += 1
+        for n in range(2, limit):
+            assert perfect_powers(n, 6) == want.get(n, []), n
+
+    def test_large_exact_powers(self):
+        base = 10**13 + 7
+        for e in (2, 3, 5):
+            assert (base, e) in perfect_powers(base**e, 6)
+
+    def test_large_near_miss(self):
+        base = 10**13 + 7
+        assert perfect_powers(base**3 + 1, 6) == []
+
+    def test_composite_exponents_by_recursion(self):
+        assert perfect_powers(3**12, 12) == [
+            (729, 2), (81, 3), (27, 4), (9, 6), (3, 12),
+        ]
+        assert perfect_powers(3**12, 5) == [(729, 2), (81, 3), (27, 4)]
+
+    def test_sieves_admit_every_power_residue(self):
+        for p, sieve in POWER_SIEVES.items():
+            for m, admitted in sieve:
+                for r in range(m):
+                    assert admitted[pow(r, p, m)], (p, m, r)
 
 
 class TestLeastIndex:

@@ -4,8 +4,11 @@ import json
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from exptriple.arith import power_representations, radical
+from exptriple.acceptance import _box_rows
+from exptriple.arith import introot, radical
 from exptriple.catalog import KNOWN_ANOMALOUS_ROWS, is_known_anomalous
 from exptriple.config import SearchBounds
 from exptriple.errors import UsageError
@@ -15,7 +18,7 @@ from exptriple.search import (
     Shape53,
     Shape54,
     SolvedSystem,
-    _bounded_roots,
+    _search_unit,
     decompose,
     direct_search,
     generate_equations,
@@ -403,30 +406,6 @@ class TestRunPipeline:
 
 
 # ---------------------------------------------------------------------------
-# bounded roots
-# ---------------------------------------------------------------------------
-
-
-class TestBoundedRoots:
-    def test_exhaustive_small(self):
-        for n in range(2, 5000):
-            got = sorted(_bounded_roots(n, 6))
-            want = sorted(
-                (r, e) for r, e in power_representations(n) if 2 <= e <= 6
-            )
-            assert got == want, n
-
-    def test_large_exact_powers(self):
-        base = 10**13 + 7
-        for e in (2, 3, 5):
-            assert (base, e) in _bounded_roots(base**e, 6)
-
-    def test_large_near_miss(self):
-        base = 10**13 + 7
-        assert _bounded_roots(base**3 + 1, 6) == []
-
-
-# ---------------------------------------------------------------------------
 # the direct boxed search
 # ---------------------------------------------------------------------------
 
@@ -447,6 +426,9 @@ class TestDirectSearch:
     def test_tiny_box(self):
         rows = [n.as_tuple() for n in direct_search(bounds=TINY_BOX)]
         assert rows == TINY_BOX_ROWS
+
+    def test_tiny_box_rows_are_the_catalogue_rows_in_the_box(self):
+        assert _box_rows(TINY_BOX) == set(TINY_BOX_ROWS)
 
     def test_all_rows_are_known(self):
         for nine in direct_search(bounds=TINY_BOX):
@@ -511,3 +493,107 @@ class TestDirectSearch:
             for n in direct_search(bounds=TINY_BOX, checkpoint=str(path))
         ]
         assert rows == TINY_BOX_ROWS
+
+
+# ---------------------------------------------------------------------------
+# the streaming cell scan against the two-sided bucket scan
+# ---------------------------------------------------------------------------
+
+
+def _naive_roots(n, exp_cap):
+    return [
+        (r, e)
+        for e in range(2, exp_cap + 1)
+        for r in (introot(n, e),)
+        if r >= 2 and r**e == n
+    ]
+
+
+def _bucket_scan(g, a1, bounds, max_bits):
+    """Reference cell scan: every sum on both sides is root-tested and
+    bucketed by (b1, c1), then the shared buckets are paired."""
+    exp_max = bounds.exp_max
+    g_pows = [g**w for w in range(exp_max + 1)]
+    if a1 == 1:
+        lefts = [(w, None, g_pows[w]) for w in range(1, exp_max + 1)]
+        pures = [(None, 1)]
+    else:
+        a_pows = [a1**x for x in range(exp_max + 1)]
+        lefts = [
+            (w, x, g_pows[w] * a_pows[x])
+            for w in range(1, exp_max + 1)
+            for x in range(1, exp_max + 1)
+        ]
+        pures = [(x, a_pows[x]) for x in range(1, exp_max + 1)]
+
+    second_bases = []
+    for b1 in range(1, bounds.b1_max + 1):
+        if b1 == 1:
+            if a1 > 1:
+                second_bases.append((1, [1, 1]))
+            continue
+        if math.gcd(b1, g) != 1 or math.gcd(b1, a1) != 1:
+            continue
+        second_bases.append((b1, [b1**y for y in range(exp_max + 1)]))
+
+    bucket53 = {}
+    for w1, x1, left in lefts:
+        for b1, b_pows in second_bases:
+            for y1 in range(1, (1 if b1 == 1 else exp_max) + 1):
+                total = left + b_pows[y1]
+                for root, e in [(total, 1)] + _naive_roots(total, exp_max):
+                    bucket53.setdefault((b1, root), []).append((w1, x1, y1, e))
+
+    bucket54 = {}
+    for x2, pure in pures:
+        for b1, b_pows in second_bases:
+            for w2 in range(1, exp_max + 1):
+                for y2 in range(1, (1 if b1 == 1 else exp_max) + 1):
+                    total = pure + g_pows[w2] * b_pows[y2]
+                    for root, e in [(total, 1)] + _naive_roots(total, exp_max):
+                        bucket54.setdefault((b1, root), []).append((x2, w2, y2, e))
+
+    rows = set()
+    for b1, c1 in bucket53.keys() & bucket54.keys():
+        for w1, x1, y1, z1 in bucket53[(b1, c1)]:
+            s53 = Shape53(g, w1, a1, x1, b1, y1, c1, z1)
+            for x2, w2, y2, z2 in bucket54[(b1, c1)]:
+                s54 = Shape54(a1, x2, g, w2, b1, y2, c1, z2)
+                system, _ = pair_and_solve(s53, s54)
+                if system is None:
+                    continue
+                result = reconstruct_and_verify(s53, s54, system, max_bits)
+                if result.verdict is not None and result.verdict.kind == "anomalous":
+                    rows.add(result.nine.as_tuple())
+    return sorted(rows)
+
+
+class TestCellScan:
+    @given(
+        g=st.integers(min_value=2, max_value=12),
+        a1=st.integers(min_value=1, max_value=12),
+        b1_max=st.integers(min_value=1, max_value=40),
+        exp_max=st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bucket_scan(self, g, a1, b1_max, exp_max):
+        assume(math.gcd(g, a1) == 1)
+        bounds = SearchBounds(a1_max=a1, g_max=g, b1_max=b1_max, exp_max=exp_max)
+        assert _search_unit((g, a1, bounds, 128)) == _bucket_scan(g, a1, bounds, 128)
+
+    def test_cells_with_rows_match_bucket_scan(self):
+        bounds = SearchBounds(a1_max=5, g_max=5, b1_max=40, exp_max=5)
+        for g, a1 in ((2, 1), (3, 1), (3, 2), (5, 1)):
+            got = _search_unit((g, a1, bounds, 128))
+            assert got
+            assert got == _bucket_scan(g, a1, bounds, 128)
+
+
+@pytest.mark.slow
+def test_catalogue_box_recalls_all_ten_rows():
+    bounds = SearchBounds(g_max=10, a1_max=5, b1_max=500, exp_max=6)
+    want = sorted(
+        canonical_nine(make_nine_tuple(*row)).as_tuple()
+        for row in KNOWN_ANOMALOUS_ROWS
+    )
+    assert [n.as_tuple() for n in direct_search(bounds=bounds)] == want
