@@ -297,12 +297,16 @@ def cmd_family_check(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_search_direct(args: argparse.Namespace, config: RunConfig) -> int:
-    rows = direct_search(
-        bounds=config.bounds,
-        max_bits=config.max_bits,
-        workers=config.worker_count,
-        checkpoint=args.checkpoint,
-    )
+    with warnings.catch_warnings():
+        # a library UserWarning (a discarded checkpoint) becomes one stderr line
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        rows = direct_search(
+            bounds=config.bounds,
+            max_bits=config.max_bits,
+            workers=config.worker_count,
+            checkpoint=args.checkpoint,
+        )
     b = config.bounds
     print(
         f"direct search (g <= {b.g_max}, a1 <= {b.a1_max}, b1 <= {b.b1_max}, "

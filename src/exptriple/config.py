@@ -45,21 +45,17 @@ class SearchBounds:
 class RunConfig:
     """Top-level knobs shared by the library entry points and the CLI.
 
-    max_bits is the enumeration bit budget, least_index_cap bounds the
-    index scan inside divisibility checks, and family_search_budget is
-    accepted for interface stability although family membership is
-    decided in closed form and never consumes it.
+    max_bits is the enumeration bit budget and worker_count the number
+    of search processes.
     """
 
     max_bits: int = 128
-    least_index_cap: int = 10**6
-    family_search_budget: int = 4096
     bounds: SearchBounds = field(default_factory=SearchBounds)
     worker_count: int = 1
     output_format: str = "human"
 
     def __post_init__(self) -> None:
-        for name in ("max_bits", "least_index_cap", "family_search_budget", "worker_count"):
+        for name in ("max_bits", "worker_count"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise UsageError(f"configuration value {name} must be a positive integer")
@@ -72,8 +68,6 @@ class RunConfig:
 
 _ENV_INT_FIELDS = {
     "EXPTRIPLE_MAX_BITS": "max_bits",
-    "EXPTRIPLE_LEAST_INDEX_CAP": "least_index_cap",
-    "EXPTRIPLE_FAMILY_SEARCH_BUDGET": "family_search_budget",
     "EXPTRIPLE_WORKERS": "worker_count",
 }
 

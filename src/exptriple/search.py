@@ -26,11 +26,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import combinations
 from multiprocessing import Pool
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from .arith import (
     Factored,
@@ -439,6 +441,11 @@ def pair_and_solve(s53: Shape53, s54: Shape54) -> tuple[SolvedSystem | None, str
 # ---------------------------------------------------------------------------
 
 
+# Largest c^z, counted as c.bit_length() * z, that reconstruct_and_verify
+# builds; larger candidates are rejected as "oversize" rather than built.
+OVERSIZE_BITS = 600_000
+
+
 @dataclass(frozen=True)
 class ReconstructionResult:
     """Outcome of rebuilding a triple from a solved pair.
@@ -475,8 +482,7 @@ def reconstruct_and_verify(
     if sol1 == sol2:
         return ReconstructionResult(bases, None, None, "duplicate-solution")
 
-    # keep pathological inputs from building astronomically large terms
-    if c.bit_length() * max(sol1[2], sol2[2]) > 600_000:
+    if c.bit_length() * max(sol1[2], sol2[2]) > OVERSIZE_BITS:
         return ReconstructionResult(bases, None, None, "oversize")
 
     for x, y, z in (sol1, sol2):
@@ -697,39 +703,99 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
     return sorted(rows)
 
 
-def _load_checkpoint(
-    path: str, box: list[int], max_bits: int
-) -> tuple[set[tuple[int, int]], list[tuple[int, ...]]]:
+# Journal header version; a journal with any other header is discarded.
+JOURNAL_VERSION = 1
+
+
+def _parse_cell(
+    line: bytes, units: set[tuple[int, int]]
+) -> tuple[tuple[int, int], list[tuple[int, ...]]] | None:
+    """One journal cell line [g, a1, rows] of a box unit, or None."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return set(), []
-    if data.get("box") != box or data.get("max_bits") != max_bits:
-        # stale checkpoint from a different run; start over
-        return set(), []
-    done = {(int(g), int(a1)) for g, a1 in data.get("done", [])}
-    rows = [tuple(int(v) for v in row) for row in data.get("rows", [])]
-    return done, rows
+        cell = json.loads(line)
+    except ValueError:
+        return None
+    if not (isinstance(cell, list) and len(cell) == 3 and isinstance(cell[2], list)):
+        return None
+    g, a1, rows = cell
+    if type(g) is not int or type(a1) is not int or (g, a1) not in units:
+        return None
+    if not all(
+        isinstance(row, list) and len(row) == 9 and all(type(v) is int for v in row)
+        for row in rows
+    ):
+        return None
+    return (g, a1), [tuple(row) for row in rows]
 
 
-def _save_checkpoint(
-    path: str,
-    box: list[int],
-    max_bits: int,
-    done: set[tuple[int, int]],
-    rows: list[tuple[int, ...]],
-) -> None:
-    payload = {
-        "box": box,
-        "max_bits": max_bits,
-        "done": sorted(done),
-        "rows": sorted(set(rows)),
-    }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)
+def _read_journal(
+    path: str, header: dict, units: set[tuple[int, int]]
+) -> tuple[dict[tuple[int, int], list[tuple[int, ...]]], int]:
+    """The finished cells of a journal and the byte length of its sound part.
+
+    A missing or empty file has no cells and no sound part.  A torn last
+    line, one without its newline or one that does not parse, is left
+    out of the sound part.  Raises ValueError, giving the reason, when
+    the file is not a journal of this run.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return {}, 0
+    except OSError as exc:
+        raise ValueError(f"cannot be read ({exc})") from exc
+    if not data:
+        return {}, 0
+    lines = data.split(b"\n")
+    # lines[-1] is the text after the last newline: empty, or a torn line
+    complete = lines[:-1]
+    try:
+        found = json.loads(complete[0]) if complete else None
+    except ValueError:
+        found = None
+    if not isinstance(found, dict) or found.get("version") != JOURNAL_VERSION:
+        raise ValueError(f"is not a version {JOURNAL_VERSION} checkpoint journal")
+    if found != header:
+        raise ValueError("was written for another box or bit bound")
+
+    cells: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    end = len(complete[0]) + 1
+    for lineno, line in enumerate(complete[1:], start=2):
+        cell = _parse_cell(line, units)
+        if cell is None:
+            if lineno == len(complete) and not lines[-1]:
+                break  # a torn last line that kept its newline
+            raise ValueError(f"is corrupt at line {lineno}")
+        cells[cell[0]] = cell[1]
+        end += len(line) + 1
+    return cells, end
+
+
+def _open_journal(
+    path: str, header: dict, units: set[tuple[int, int]]
+) -> tuple[dict[tuple[int, int], list[tuple[int, ...]]], TextIO]:
+    """Resume the journal at path, or start a fresh one, open for appending.
+
+    A journal whose header matches keeps its finished cells; a torn last
+    line is cut off.  Any other existing file is discarded with a
+    UserWarning.
+    """
+    try:
+        cells, end = _read_journal(path, header, units)
+    except ValueError as exc:
+        warnings.warn(
+            f"checkpoint {path} {exc}; discarding it and starting a fresh journal",
+            stacklevel=3,
+        )
+        cells, end = {}, 0
+    if end:
+        os.truncate(path, end)
+        return cells, open(path, "a", encoding="utf-8")
+    journal = open(path, "w", encoding="utf-8")
+    journal.write(json.dumps(header) + "\n")
+    journal.flush()
+    return {}, journal
 
 
 def direct_search(
@@ -745,9 +811,11 @@ def direct_search(
     exponents at most exp_max.  Work splits into independent (g, a1)
     cells, so worker_count only changes the schedule, never the result;
     the returned list is canonical, deduplicated and sorted.  With a
-    checkpoint path, finished cells are journaled and a rerun resumes
-    after the last completed cell, ignoring checkpoints whose box or
-    bit bound differ.
+    checkpoint path, each finished cell is appended to a JSONL journal
+    whose first line records the box and bit bound, and a rerun skips
+    the cells already journaled.  A torn last line is cut off; a file
+    that is not a journal of this box and bit bound is discarded with a
+    UserWarning.
     """
     if bounds is None:
         bounds = SearchBounds()
@@ -762,28 +830,28 @@ def direct_search(
     ]
     box = [bounds.a1_max, bounds.g_max, bounds.b1_max, bounds.exp_max]
 
-    done: set[tuple[int, int]] = set()
-    rows: list[tuple[int, ...]] = []
-    if checkpoint and os.path.exists(checkpoint):
-        done, rows = _load_checkpoint(checkpoint, box, max_bits)
+    with ExitStack() as stack:
+        done, journal = {}, None
+        if checkpoint:
+            header = {"version": JOURNAL_VERSION, "box": box, "max_bits": max_bits}
+            done, journal = _open_journal(checkpoint, header, set(units))
+            stack.enter_context(journal)
+        rows = [row for cell_rows in done.values() for row in cell_rows]
+        pending = [u for u in units if u not in done]
+        tasks = [(g, a1, bounds, max_bits) for g, a1 in pending]
 
-    pending = [u for u in units if u not in done]
-    tasks = [(g, a1, bounds, max_bits) for g, a1 in pending]
-
-    if workers == 1 or not tasks:
-        produced = map(_search_unit, tasks)
-        for unit, unit_rows in zip(pending, produced):
+        if workers == 1 or not tasks:
+            produced = map(_search_unit, tasks)
+        else:
+            size = min(workers, len(tasks))
+            pool = stack.enter_context(Pool(size))
+            # many cells per task keep dispatch cheap; 16 chunks per worker balance the load
+            produced = pool.imap(_search_unit, tasks, max(1, len(tasks) // (16 * size)))
+        for (g, a1), unit_rows in zip(pending, produced):
             rows.extend(unit_rows)
-            done.add(unit)
-            if checkpoint:
-                _save_checkpoint(checkpoint, box, max_bits, done, rows)
-    else:
-        with Pool(min(workers, len(tasks))) as pool:
-            for unit, unit_rows in zip(pending, pool.imap(_search_unit, tasks)):
-                rows.extend(unit_rows)
-                done.add(unit)
-                if checkpoint:
-                    _save_checkpoint(checkpoint, box, max_bits, done, rows)
+            if journal is not None:
+                journal.write(json.dumps([g, a1, unit_rows], separators=(",", ":")) + "\n")
+                journal.flush()
 
     found: dict[tuple[int, ...], NineTuple] = {}
     for row in set(rows):

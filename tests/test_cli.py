@@ -6,6 +6,12 @@ runs exactly as a shell invocation would.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -253,6 +259,57 @@ class TestSearchDirect:
         _, again, _ = run(capsys, "search", "direct", *TINY_BOX,
                           "--format", "json-lines", "--checkpoint", str(journal))
         assert again == base
+
+    def test_discarded_checkpoint_warns_on_stderr(self, capsys, tmp_path):
+        _, base, _ = run(capsys, "search", "direct", *TINY_BOX, "--format", "json-lines")
+        journal = tmp_path / "journal.jsonl"
+        journal.write_text('{"box": [6, 6, 60, 5], "done": [], "rows": []}')
+        code, out, err = run(capsys, "search", "direct", *TINY_BOX,
+                             "--format", "json-lines", "--checkpoint", str(journal))
+        assert code == 0
+        assert out == base
+        warned = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert len(warned) == 1
+        assert "not a version 1 checkpoint journal" in warned[0]
+        # the fresh journal it wrote resumes without a warning
+        _, again, err = run(capsys, "search", "direct", *TINY_BOX,
+                            "--format", "json-lines", "--checkpoint", str(journal))
+        assert again == base
+        assert "warning:" not in err
+
+    def test_killed_run_resumes_to_identical_stdout(self, tmp_path):
+        # 2,143 cells; one worker scans them in about 1.5 s
+        box = ["--g-max", "60", "--a1-max", "60", "--b1-max", "12", "--exp-max", "3"]
+        argv = [sys.executable, "-m", "exptriple.cli", "search", "direct", *box,
+                "--format", "json-lines"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        journal = tmp_path / "run.jsonl"
+
+        victim = subprocess.Popen([*argv, "--checkpoint", str(journal)], env=env,
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline and victim.poll() is None:
+                if journal.exists() and journal.read_bytes().count(b"\n") > 100:
+                    break
+                time.sleep(0.005)
+            victim.kill()
+        finally:
+            victim.wait(timeout=30)
+        journaled = journal.read_bytes().count(b"\n") - 1
+        assert victim.returncode == -signal.SIGKILL
+        assert 100 <= journaled < 2143
+
+        whole = subprocess.run(argv, env=env, capture_output=True, timeout=120, check=True)
+        resumed = subprocess.run([*argv, "--checkpoint", str(journal)], env=env,
+                                 capture_output=True, timeout=120, check=True)
+        assert resumed.stdout == whole.stdout
+        assert b"warning:" not in resumed.stderr
+        cells = [tuple(json.loads(line)[:2]) for line in journal.read_text().splitlines()[1:]]
+        assert len(cells) == len(set(cells)) == 2143
 
     def test_zero_workers_is_usage(self, capsys):
         code, _, err = run(capsys, "search", "direct", "--workers", "0")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +14,9 @@ from exptriple.catalog import KNOWN_ANOMALOUS_ROWS, is_known_anomalous
 from exptriple.config import SearchBounds
 from exptriple.errors import UsageError
 from exptriple.families import canonical_nine, make_nine_tuple
+import exptriple.search as search_module
 from exptriple.search import (
+    OVERSIZE_BITS,
     EquationRecord,
     Shape53,
     Shape54,
@@ -359,6 +362,33 @@ class TestReconstruct:
         assert result.bases == (2, 88, 6)
         assert result.reason is None
 
+    # the (3, 6, 15) pair; its larger solution has c^z = 15^2, 4 * 2 = 8 bits
+    S53_15 = Shape53(3, 1, 1, None, 2, 1, 5, 1)
+    S54_15 = Shape54(1, None, 3, 1, 2, 3, 5, 2)
+
+    def test_candidate_at_the_size_limit_is_verified(self, monkeypatch):
+        monkeypatch.setattr(search_module, "OVERSIZE_BITS", 8)
+        result = self._verify(self.S53_15, self.S54_15)
+        assert result.reason is None
+        assert result.verdict.kind == "anomalous"
+        monkeypatch.setattr(search_module, "OVERSIZE_BITS", 7)
+        assert self._verify(self.S53_15, self.S54_15).reason == "oversize"
+
+    def test_candidate_above_the_size_limit_is_oversize(self):
+        # gamma scales c = 3^gamma * 5; take the first gamma whose c^2
+        # exceeds the limit
+        def size(gamma):
+            return (3**gamma * 5).bit_length() * 2
+
+        gamma = int((OVERSIZE_BITS / 2 - 3) / math.log2(3)) - 2
+        assert size(gamma) <= OVERSIZE_BITS
+        while size(gamma) <= OVERSIZE_BITS:
+            gamma += 1
+        system = SolvedSystem(alpha=1, beta=1, gamma=gamma, x1=1, x2=2)
+        result = reconstruct_and_verify(self.S53_15, self.S54_15, system, 128)
+        assert result.reason == "oversize"
+        assert result.bases[2] == 3**gamma * 5
+
 
 # ---------------------------------------------------------------------------
 # the paired pipeline
@@ -421,6 +451,50 @@ TINY_BOX_ROWS = [
     (6, 15, 231, 1, 2, 1, 3, 1, 1),
 ]
 
+TINY_BOX_HEADER = {"version": 1, "box": [6, 6, 60, 5], "max_bits": 128}
+TINY_BOX_CELLS = 17
+
+
+def _journal(path):
+    """The header and the cell lines of a journal, each line parsed."""
+    header, *cells = (json.loads(line) for line in path.read_text().splitlines())
+    return header, cells
+
+
+def _rows_of(cells):
+    return sorted(
+        {canonical_nine(make_nine_tuple(*row)).as_tuple() for _, _, rows in cells for row in rows}
+    )
+
+
+def _tiny_rows(path):
+    return [n.as_tuple() for n in direct_search(bounds=TINY_BOX, checkpoint=str(path))]
+
+
+class _Crash(Exception):
+    pass
+
+
+class _Scanner:
+    """Stands in for the cell scan: records each cell, crashes after `limit` cells."""
+
+    def __init__(self):
+        self.cells = []
+        self.limit = None
+
+    def __call__(self, task):
+        if len(self.cells) == self.limit:
+            raise _Crash
+        self.cells.append(task[:2])
+        return _search_unit(task)
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    scanner = _Scanner()
+    monkeypatch.setattr(search_module, "_search_unit", scanner)
+    return scanner
+
 
 class TestDirectSearch:
     def test_tiny_box(self):
@@ -443,56 +517,122 @@ class TestDirectSearch:
         with pytest.raises(UsageError):
             direct_search(bounds=TINY_BOX, workers=0)
 
-    def test_checkpoint_roundtrip(self, tmp_path):
-        path = tmp_path / "state.json"
-        first = [
-            n.as_tuple()
-            for n in direct_search(bounds=TINY_BOX, checkpoint=str(path))
-        ]
-        assert first == TINY_BOX_ROWS
-        state = json.loads(path.read_text())
-        assert len(state["done"]) > 0
+    def test_checkpoint_roundtrip(self, tmp_path, scanned):
+        path = tmp_path / "state.jsonl"
+        assert _tiny_rows(path) == TINY_BOX_ROWS
+        header, cells = _journal(path)
+        assert header == TINY_BOX_HEADER
+        assert len(cells) == TINY_BOX_CELLS == len(scanned.cells)
+        assert [tuple(cell[:2]) for cell in cells] == scanned.cells
+        assert _rows_of(cells) == TINY_BOX_ROWS
 
-        # a finished checkpoint resumes to the same answer without work
-        again = [
-            n.as_tuple()
-            for n in direct_search(bounds=TINY_BOX, checkpoint=str(path))
-        ]
-        assert again == TINY_BOX_ROWS
+        # a finished journal resumes to the same answer without work
+        written = path.read_bytes()
+        scanned.cells.clear()
+        assert _tiny_rows(path) == TINY_BOX_ROWS
+        assert scanned.cells == []
+        assert path.read_bytes() == written
 
-    def test_partial_checkpoint_resumes(self, tmp_path):
-        path = tmp_path / "state.json"
-        direct_search(bounds=TINY_BOX, checkpoint=str(path))
-        state = json.loads(path.read_text())
+    def test_partial_checkpoint_resumes(self, tmp_path, scanned):
+        path = tmp_path / "state.jsonl"
+        _tiny_rows(path)
+        header, cells = _journal(path)
 
-        # drop the record of the unit that found (3, 6, 15) and its rows
-        state["done"] = [unit for unit in state["done"] if unit != [3, 1]]
-        state["rows"] = [row for row in state["rows"] if row[0] != 3]
-        path.write_text(json.dumps(state))
+        # drop the lines of both cells that find (3, 6, 15): (3, 1) finds
+        # it as (3, 6, 15) and (3, 2) as (6, 9, 15), which canonicalizes to it
+        target = (3, 6, 15, 2, 1, 1, 2, 3, 2)
+        kept = [cell for cell in cells if cell[:2] not in ([3, 1], [3, 2])]
+        assert len(kept) == TINY_BOX_CELLS - 2
+        assert target not in _rows_of(kept)
+        path.write_text("".join(json.dumps(line) + "\n" for line in [header, *kept]))
 
-        rows = [
-            n.as_tuple()
-            for n in direct_search(bounds=TINY_BOX, checkpoint=str(path))
-        ]
-        assert (3, 6, 15, 2, 1, 1, 2, 3, 2) in rows
+        scanned.cells.clear()
+        rows = _tiny_rows(path)
+        assert target in rows
+        assert rows == TINY_BOX_ROWS
+        assert scanned.cells == [(3, 1), (3, 2)]
+        _, resumed = _journal(path)
+        assert resumed[:-2] == kept
+        assert [cell[:2] for cell in resumed[-2:]] == [[3, 1], [3, 2]]
+        assert _rows_of(resumed) == TINY_BOX_ROWS
 
     def test_stale_checkpoint_is_discarded(self, tmp_path):
-        path = tmp_path / "state.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "box": [1, 2, 3, 4],
-                    "max_bits": 1,
-                    "done": [[2, 1]],
-                    "rows": [[9, 9, 9, 9, 9, 9, 9, 9, 9]],
-                }
-            )
-        )
-        rows = [
-            n.as_tuple()
-            for n in direct_search(bounds=TINY_BOX, checkpoint=str(path))
-        ]
+        path = tmp_path / "state.jsonl"
+        stale = dict(TINY_BOX_HEADER, box=[1, 2, 3, 4], max_bits=1)
+        path.write_text(json.dumps(stale) + "\n" + json.dumps([2, 1, [[9] * 9]]) + "\n")
+        with pytest.warns(UserWarning, match="another box or bit bound"):
+            rows = _tiny_rows(path)
         assert rows == TINY_BOX_ROWS
+        header, cells = _journal(path)
+        assert header == TINY_BOX_HEADER
+        assert len(cells) == TINY_BOX_CELLS
+
+
+class TestCheckpointJournal:
+    def test_old_single_document_checkpoint_is_discarded(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({
+            "box": [6, 6, 60, 5],
+            "max_bits": 128,
+            "done": [[2, 1]],
+            "rows": [[9, 9, 9, 9, 9, 9, 9, 9, 9]],
+        }))
+        with pytest.warns(UserWarning, match="not a version 1 checkpoint journal"):
+            rows = _tiny_rows(path)
+        assert rows == TINY_BOX_ROWS
+        assert _journal(path)[0] == TINY_BOX_HEADER
+
+    def test_corrupt_middle_line_discards_the_journal(self, tmp_path):
+        path = tmp_path / "state.jsonl"
+        _tiny_rows(path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = "not json\n"
+        path.write_text("".join(lines))
+        with pytest.warns(UserWarning, match="corrupt at line 4"):
+            rows = _tiny_rows(path)
+        assert rows == TINY_BOX_ROWS
+        assert len(_journal(path)[1]) == TINY_BOX_CELLS
+
+    @pytest.mark.parametrize("tear", ["no-newline", "unparsable"])
+    def test_torn_last_line_is_recomputed(self, tmp_path, scanned, tear):
+        path = tmp_path / "state.jsonl"
+        _tiny_rows(path)
+        text = path.read_text()
+        last_start = text.rstrip("\n").rfind("\n") + 1
+        torn_cell = tuple(json.loads(text[last_start:])[:2])
+        torn = text[:last_start] + (
+            text[last_start:-5] if tear == "no-newline" else "[2, 1, [[\n"
+        )
+        path.write_text(torn)
+
+        scanned.cells.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a torn tail is no reason to warn
+            rows = _tiny_rows(path)
+        assert rows == TINY_BOX_ROWS
+        assert scanned.cells == [torn_cell]
+        assert path.read_text() == text
+
+    def test_journal_resumes_twice_in_a_row(self, tmp_path, scanned):
+        path = tmp_path / "state.jsonl"
+        scanned.limit = 4
+        with pytest.raises(_Crash):
+            _tiny_rows(path)
+        assert len(_journal(path)[1]) == 4
+
+        # the first resume crashes too, after six more cells
+        scanned.limit = 10
+        with pytest.raises(_Crash):
+            _tiny_rows(path)
+        assert len(_journal(path)[1]) == 10
+
+        scanned.limit = None
+        assert _tiny_rows(path) == TINY_BOX_ROWS
+        assert len(scanned.cells) == TINY_BOX_CELLS
+        assert len(set(scanned.cells)) == TINY_BOX_CELLS
+        header, cells = _journal(path)
+        assert header == TINY_BOX_HEADER
+        assert [tuple(cell[:2]) for cell in cells] == scanned.cells
 
 
 # ---------------------------------------------------------------------------
