@@ -1,10 +1,13 @@
 """The ten known anomalous nine-tuples and lookup helpers.
 
 These are the only known two-solution nine-tuples with gcd(a, b) > 1
-that belong to none of the four infinite families.  The exhaustive
-search behind the list covered every coprime equation A + B = C with
-rad(ABC) below SEARCHED_RADICAL_BOUND, so any further anomalous case
-must have a triple radical above that bound.
+that belong to none of the four infinite families.  Dividing either
+solution a^x + b^y = c^z of a row by the common factor of its two terms
+leaves a coprime equation A + B = C.  For every row both equations have
+C, and so rad(C), below SEARCHED_RADICAL_BOUND.  The bound does not
+hold for the triple radical: rad(ABC) equals rad(abc) of the row's bases
+and reaches 35,946,991,470 for (30, 4930, 24304930), so the list makes
+no claim of completeness below any bound on rad(ABC).
 """
 
 from __future__ import annotations

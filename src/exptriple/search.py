@@ -27,6 +27,7 @@ import json
 import math
 import os
 import warnings
+from bisect import bisect_right
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -144,6 +145,15 @@ def generate_equations(rad_bound: int, height_bound: int) -> list[EquationRecord
     Returns every A <= B with A + B = C, gcd(A, B) = 1, C <= height_bound
     and rad(A*B*C) <= rad_bound, sorted by (C, A).  Coprimality makes the
     triple radical the product of the three radicals.
+
+    The values up to height_bound with radical at most rad_bound are
+    grouped by radical.  For each C only the groups with rad(A) <=
+    rad_bound // rad(C) and gcd(rad(A), rad(C)) = 1 are walked, each up
+    to A = C // 2, so the cost follows the number of these admissible
+    (A, C) pairs rather than the square of the number of values.  As
+    rad_bound grows towards height_bound squared, nearly every pair
+    becomes admissible.  The bounds (1000, 10**6) recall exactly
+    catalogue rows 1-6 through run_pipeline.
     """
     if rad_bound < 6:
         raise UsageError("rad_bound below 6 admits no equation with C > 2")
@@ -157,7 +167,7 @@ def generate_equations(rad_bound: int, height_bound: int) -> list[EquationRecord
         for i in range(idx, len(primes)):
             p = primes[i]
             if kernel * p > rad_bound or value * p > height_bound:
-                continue
+                break
             k = kernel * p
             v = value * p
             while v <= height_bound:
@@ -168,24 +178,31 @@ def generate_equations(rad_bound: int, height_bound: int) -> list[EquationRecord
     extend(0, 1, 1)
     values = sorted(radical_of)
 
+    # values grouped by radical, each group ascending; a group's smallest
+    # value is its radical itself
+    by_radical: dict[int, list[int]] = {}
+    for v in values:
+        by_radical.setdefault(radical_of[v], []).append(v)
+    radicals = sorted(by_radical)
+
     records = []
-    for C in values:
-        if C < 2:
-            continue
+    for C in values[1:]:
         rc = radical_of[C]
-        for A in values:
-            if 2 * A > C:
-                break
-            ra = radical_of[A]
-            if ra * rc > rad_bound:
+        rest = rad_bound // rc
+        half = C // 2
+        hits = []
+        for ra in radicals[: bisect_right(radicals, min(rest, half))]:
+            # coprime radicals make A and C, hence A and B, coprime
+            if math.gcd(ra, rc) != 1:
                 continue
-            B = C - A
-            rb = radical_of.get(B)
-            if rb is None or ra * rb * rc > rad_bound:
-                continue
-            if math.gcd(A, B) != 1:
-                continue
-            records.append(make_equation(A, B, C))
+            rb_max = rest // ra
+            group = by_radical[ra]
+            for A in group[: bisect_right(group, half)]:
+                rb = radical_of.get(C - A)
+                if rb is not None and rb <= rb_max:
+                    hits.append(A)
+        hits.sort()
+        records.extend(make_equation(A, C - A, C) for A in hits)
     return records
 
 
@@ -487,8 +504,12 @@ def reconstruct_and_verify(
 
     for x, y, z in (sol1, sol2):
         if a**x + b**y != c**z:
+            # the bases may have too many digits to format; name them by
+            # their parts and exponents instead
             raise InternalInvariantError(
-                f"reconstructed solution {x, y, z} of {bases} does not substitute"
+                f"reconstructed solution {x, y, z} does not substitute into "
+                f"(g^{system.alpha} * {s53.a1}, g^{system.beta} * {s53.b1}, "
+                f"g^{system.gamma} * {s53.c1}) with g = {g}"
             )
 
     effective_bits = max(

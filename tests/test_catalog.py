@@ -1,5 +1,8 @@
 """Tests for the catalog of confirmed sporadic two-solution records."""
 
+import math
+
+from exptriple.arith import radical
 from exptriple.catalog import (
     KNOWN_ANOMALOUS,
     KNOWN_ANOMALOUS_ROWS,
@@ -28,6 +31,26 @@ class TestCatalogRows:
 
     def test_radical_bound(self):
         assert SEARCHED_RADICAL_BOUND == 10**7
+
+    def test_radicals_of_the_coprime_equations(self):
+        # each solution divided by the common factor of its two terms
+        triple_radicals = []
+        for row in KNOWN_ANOMALOUS_ROWS:
+            a, b, c = row[:3]
+            for x, y, z in (row[3:6], row[6:9]):
+                shared = math.gcd(a**x, b**y)
+                A, B, C = a**x // shared, b**y // shared, c**z // shared
+                assert A + B == C and math.gcd(A, B) == 1
+                assert C < SEARCHED_RADICAL_BOUND
+                assert radical(C) < SEARCHED_RADICAL_BOUND
+                assert radical(A * B * C) == radical(a * b * c)
+                triple_radicals.append(radical(A * B * C))
+        assert triple_radicals[::2] == triple_radicals[1::2]
+        assert triple_radicals[::2] == [
+            114, 66, 30, 582, 30, 770, 1_097_670, 2310, 103_530,
+            35_946_991_470,
+        ]
+        assert max(triple_radicals) > SEARCHED_RADICAL_BOUND
 
 
 class TestMembership:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import exptriple.search as search_module
 from exptriple.acceptance import CheckResult
 from exptriple.cli import JSON_FIELDS, main
 
@@ -379,6 +380,21 @@ class TestSearchPipeline:
         rows = [json.loads(line) for line in out.splitlines()]
         assert [(r["a"], r["b"], r["c"]) for r in rows] == [(2, 6, 38), (3, 6, 15)]
         assert all(tuple(row) == JSON_FIELDS for row in rows)
+
+    def test_invariant_failure_on_huge_bases_exits_three(self, capsys, tmp_path,
+                                                         monkeypatch):
+        # a solved system that does not fit its shapes, with bases far too
+        # long to print in decimal
+        bad = search_module.SolvedSystem(alpha=1, beta=1, gamma=190_000,
+                                         x1=5, x2=1)
+        monkeypatch.setattr(search_module, "pair_and_solve",
+                            lambda s53, s54: (bad, None))
+        path = tmp_path / "eqs.txt"
+        path.write_text("16 3 19\n1 18 19\n", encoding="utf-8")
+        code, out, err = run(capsys, "search", "pipeline", str(path))
+        assert code == 3
+        assert out == ""
+        assert "internal invariant violated: reconstructed solution" in err
 
 
 class TestConfigPrecedence:

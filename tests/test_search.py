@@ -9,10 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exptriple.acceptance import _box_rows
-from exptriple.arith import introot, radical
+from exptriple.arith import introot, is_prime, radical
 from exptriple.catalog import KNOWN_ANOMALOUS_ROWS, is_known_anomalous
 from exptriple.config import SearchBounds
-from exptriple.errors import UsageError
+from exptriple.errors import InternalInvariantError, UsageError
 from exptriple.families import canonical_nine, make_nine_tuple
 import exptriple.search as search_module
 from exptriple.search import (
@@ -137,6 +137,63 @@ class TestGenerateEquations:
             generate_equations(5, 100)
         with pytest.raises(UsageError):
             generate_equations(30, 1)
+
+
+def _quadratic_generate(rad_bound, height_bound):
+    """Reference generator: every pair of radical-bounded values is tried."""
+    primes = [p for p in range(2, rad_bound + 1) if is_prime(p)]
+    radical_of = {1: 1}
+
+    def extend(idx, value, kernel):
+        for i in range(idx, len(primes)):
+            p = primes[i]
+            if kernel * p > rad_bound or value * p > height_bound:
+                continue
+            k = kernel * p
+            v = value * p
+            while v <= height_bound:
+                radical_of[v] = k
+                extend(i + 1, v, k)
+                v *= p
+
+    extend(0, 1, 1)
+    values = sorted(radical_of)
+
+    found = []
+    for C in values:
+        if C < 2:
+            continue
+        rc = radical_of[C]
+        for A in values:
+            if 2 * A > C:
+                break
+            ra = radical_of[A]
+            if ra * rc > rad_bound:
+                continue
+            B = C - A
+            rb = radical_of.get(B)
+            if rb is None or ra * rb * rc > rad_bound:
+                continue
+            if math.gcd(A, B) != 1:
+                continue
+            found.append((A, B, C))
+    return found
+
+
+class TestGeneratorMatchesQuadraticScan:
+    @given(
+        rad_bound=st.integers(min_value=6, max_value=400),
+        height_bound=st.integers(min_value=2, max_value=5000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_same_list_in_the_same_order(self, rad_bound, height_bound):
+        got = [r.as_tuple() for r in generate_equations(rad_bound, height_bound)]
+        assert got == _quadratic_generate(rad_bound, height_bound)
+
+    def test_many_radical_groups(self):
+        got = [r.as_tuple() for r in generate_equations(300, 10**5)]
+        assert len(got) > 100
+        assert got == _quadratic_generate(300, 10**5)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +446,19 @@ class TestReconstruct:
         assert result.reason == "oversize"
         assert result.bases[2] == 3**gamma * 5
 
+    def test_inconsistent_system_with_huge_bases_raises_invariant_error(self):
+        # c = 2^190000 * 19 has about 57,000 digits, far more than str()
+        # converts, yet fits the size limit since both solutions have z = 1
+        s53 = Shape53(2, 4, 1, None, 3, 1, 19, 1)
+        s54 = Shape54(1, None, 2, 1, 3, 2, 19, 1)
+        system = SolvedSystem(alpha=1, beta=1, gamma=190_000, x1=5, x2=1)
+        with pytest.raises(InternalInvariantError) as info:
+            reconstruct_and_verify(s53, s54, system, 128)
+        message = str(info.value)
+        assert "(5, 1, 1)" in message
+        assert "g^190000 * 19" in message
+        assert len(message) < 200
+
 
 # ---------------------------------------------------------------------------
 # the paired pipeline
@@ -433,6 +503,19 @@ class TestRunPipeline:
         got = {n.as_tuple() for n in outcome.anomalous}
         assert got <= known
         assert (3, 6, 15, 2, 1, 1, 2, 3, 2) in got
+
+    def test_generated_bounds_recall_exactly_rows_one_to_six(self):
+        outcome = run_pipeline(generate_equations(1000, 10**6))
+        want = [
+            canonical_nine(make_nine_tuple(*row)).as_tuple()
+            for row in KNOWN_ANOMALOUS_ROWS[:6]
+        ]
+        assert [row[:3] for row in KNOWN_ANOMALOUS_ROWS[:6]] == [
+            (2, 6, 38), (2, 88, 6), (3, 6, 15),
+            (3, 6, 7857), (3, 1215, 6), (5, 275, 280),
+        ]
+        assert [n.as_tuple() for n in outcome.anomalous] == sorted(want)
+        assert outcome.family == ()
 
 
 # ---------------------------------------------------------------------------
