@@ -118,8 +118,11 @@ class Factored:
 def factorize(n: int) -> Factored:
     """Complete factorization of a positive integer.
 
-    Trial division below a fixed bound, then deterministic Miller-Rabin and
-    Brent's rho to split whatever survives.  factorize(1) has no factors.
+    Trial division below a fixed bound.  When it stops at a prime p with
+    p*p above the cofactor, every smaller prime is divided out, so the
+    cofactor is 1 or a prime and is recorded as it is.  A cofactor left
+    after the whole table is split by deterministic Miller-Rabin and
+    Brent's rho.  factorize(1) has no factors.
     """
     if n < 1:
         raise ValueError(f"factorize requires a positive integer, got {n}")
@@ -127,7 +130,10 @@ def factorize(n: int) -> Factored:
     found: dict[int, int] = {}
     for p in _small_primes():
         if p * p > n:
-            break
+            if n > 1:
+                found[n] = 1
+            # n exceeds every prime tried, so the keys are already ascending
+            return Factored(original, tuple(found.items()))
         while n % p == 0:
             found[p] = found.get(p, 0) + 1
             n //= p

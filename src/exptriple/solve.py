@@ -5,6 +5,15 @@ classes (two solutions are the same class when their term multisets
 {a^x, b^y} coincide), which is what the class count N counts.  The module
 also recognizes the handful of base shapes that admit more than two
 solutions, all of which live among powers of two and their neighbours.
+
+Enumeration takes one of three paths, each exact and complete below the
+bound.  A triple with a prime dividing exactly two bases has no solution
+and returns after three gcds.  A triple with a prime p dividing all three
+bases is split on p's valuations: two of v_p(a^x), v_p(b^y), v_p(c^z) are
+equal and no larger than the third, so each case pins one exponent to
+another and costs one walk with a table lookup per step, O(X + Y + Z) in
+the numbers of powers of a, b, c below the bound.  Only pairwise-coprime
+bases, such as (3, 5, 2), keep the O(X * Z) double loop over (x, z).
 """
 
 from __future__ import annotations
@@ -87,33 +96,24 @@ def count_N(sset: SolutionSet) -> int:
     return len(sset.classes)
 
 
-def enumerate_solutions(t: Triple, max_bits: int) -> SolutionSet:
-    """Find every solution with c^z below 2**max_bits.
+def _powers_below(base: int, limit: int) -> list[int]:
+    """base, base**2, ... up to the last power below limit."""
+    out = []
+    v = base
+    while v < limit:
+        out.append(v)
+        v *= base
+    return out
 
-    Walks z upward, and for each z walks the powers of a below c^z,
-    testing whether the difference is a power of b by table lookup.  The
-    result is complete below the stated bound and makes no claim above it.
-    """
-    if max_bits < 1:
-        raise ValueError("max_bits must be positive")
-    limit = 1 << max_bits
-    if t.c >= limit:
-        warnings.warn(
-            f"base c = {t.c} does not fit below 2^{max_bits}; nothing enumerated",
-            stacklevel=2,
-        )
-        return SolutionSet(t, max_bits, (), (), bound_too_small=True)
-    a_powers = []
-    ax = t.a
-    while ax < limit:
-        a_powers.append(ax)
-        ax *= t.a
-    b_power_of = {}
-    by, y = t.b, 1
-    while by < limit:
-        b_power_of[by] = y
-        by *= t.b
-        y += 1
+
+def _exponent_of_power(powers: list[int]) -> dict[int, int]:
+    return {v: i for i, v in enumerate(powers, start=1)}
+
+
+def _coprime_double_loop(t: Triple, limit: int) -> list[Solution]:
+    """Solutions of pairwise-coprime bases, by walking (x, z) pairs."""
+    a_powers = _powers_below(t.a, limit)
+    b_power_of = _exponent_of_power(_powers_below(t.b, limit))
     found = []
     cz, z = t.c, 1
     while cz < limit:
@@ -125,6 +125,91 @@ def enumerate_solutions(t: Triple, max_bits: int) -> SolutionSet:
                 found.append(Solution(x, y, z))
         cz *= t.c
         z += 1
+    return found
+
+
+def _pinned_to_c(
+    u_powers: list[int], e_u: int, v_exp: dict[int, int], c_powers: list[int], e_c: int
+) -> list[tuple[int, int, int]]:
+    """Every (i, j, z) with u^i + v^j = c^z and i*e_u = z*e_c below the bound."""
+    out = []
+    step = e_u // math.gcd(e_u, e_c)
+    for z in range(step, len(c_powers) + 1, step):
+        i = z * e_c // e_u
+        if i > len(u_powers):
+            break
+        j = v_exp.get(c_powers[z - 1] - u_powers[i - 1])
+        if j is not None:
+            out.append((i, j, z))
+    return out
+
+
+def _valuation_split(t: Triple, limit: int) -> list[Solution]:
+    """Solutions of a triple with a shared prime, one valuation case at a time.
+
+    For the smallest shared prime p with exponents (e_a, e_b, e_c), two of
+    v_p(a^x) = x*e_a, v_p(b^y) = y*e_b and v_p(c^z) = z*e_c are equal and
+    no larger than the third.  Each case fixes one exponent by another, so
+    every case is a single walk with a table lookup.
+    """
+    e_a, e_b, e_c = t.exponents[t.common_primes[0]]
+    a_powers = _powers_below(t.a, limit)
+    b_powers = _powers_below(t.b, limit)
+    c_powers = _powers_below(t.c, limit)
+    a_exp = _exponent_of_power(a_powers)
+    b_exp = _exponent_of_power(b_powers)
+    c_exp = _exponent_of_power(c_powers)
+    found = {Solution(x, y, z) for x, y, z in _pinned_to_c(a_powers, e_a, b_exp, c_powers, e_c)}
+    found.update(
+        Solution(x, y, z) for y, x, z in _pinned_to_c(b_powers, e_b, a_exp, c_powers, e_c)
+    )
+    step = e_a * e_b // math.gcd(e_a, e_b)
+    dx, dy = step // e_a, step // e_b
+    x, y = dx, dy
+    while x <= len(a_powers) and y <= len(b_powers):
+        z = c_exp.get(a_powers[x - 1] + b_powers[y - 1])
+        if z is not None:
+            found.add(Solution(x, y, z))
+        x += dx
+        y += dy
+    return list(found)
+
+
+def enumerate_solutions(t: Triple, max_bits: int) -> SolutionSet:
+    """Find every solution with c^z below 2**max_bits.
+
+    Three paths, each complete below the stated bound; the result makes no
+    claim above it.  Write X, Y, Z for the numbers of powers of a, b, c
+    below the bound.
+
+    - Early exit.  A prime dividing exactly two of a, b, c divides exactly
+      two of the three terms, so nothing can solve the triple.  These are
+      the triples where two of a1, b1, c1 share a factor; they cost three
+      gcds.
+    - Valuation split, when a prime p divides all three bases.  Of the
+      p-adic valuations of a^x, b^y and c^z the two smallest are equal, so
+      x*e_a = z*e_c, y*e_b = z*e_c or x*e_a = y*e_b for p's exponents
+      (e_a, e_b, e_c).  The first two cases walk z and look c^z - a^x up
+      among the powers of b, or c^z - b^y among the powers of a; the third
+      walks the progression x*e_a = y*e_b and looks a^x + b^y up among the
+      powers of c.  The cases can overlap, so hits are collected in a set.
+      Cost O(X + Y + Z) power products and lookups.
+    - Pairwise-coprime bases, such as (3, 5, 2): for each z, walk the
+      powers of a below c^z and look the difference up among the powers
+      of b.  Cost O(X * Z) lookups.
+    """
+    if max_bits < 1:
+        raise ValueError("max_bits must be positive")
+    limit = 1 << max_bits
+    if t.c >= limit:
+        warnings.warn(
+            f"base c = {t.c} does not fit below 2^{max_bits}; nothing enumerated",
+            stacklevel=2,
+        )
+        return SolutionSet(t, max_bits, (), (), bound_too_small=True)
+    if math.gcd(t.a1, t.b1) > 1 or math.gcd(t.a1, t.c1) > 1 or math.gcd(t.b1, t.c1) > 1:
+        return SolutionSet(t, max_bits, (), ())
+    found = _valuation_split(t, limit) if t.common_primes else _coprime_double_loop(t, limit)
     found.sort(key=Solution.key)
     by_terms: dict[tuple[int, int], list[Solution]] = {}
     for s in found:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exptriple.arith as arith_module
 from exptriple.arith import (
     POWER_SIEVES,
     Factored,
@@ -82,6 +83,39 @@ class TestFactorize:
         f = factorize(360)
         assert f.exponent_of(2) == 3
         assert f.exponent_of(7) == 0
+
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        calls = []
+        real = getattr(arith_module, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(arith_module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 97, 9_973, 10_007, 99_991, 49, 9_973**2, 2 * 9_973**2])
+    def test_cofactor_below_the_break_needs_no_primality_test(self, monkeypatch, n):
+        # trial division stops at p with p*p > n (or runs out with n = 1),
+        # so whatever is left is 1 or a prime
+        primality = self._count_calls(monkeypatch, "is_prime")
+        assert factorize(n).factors == tuple(oracle_factorize(n))
+        assert primality == []
+
+    def test_prime_just_above_the_table_square(self, monkeypatch):
+        n = 100_000_007
+        assert arith_module._TRIAL_LIMIT**2 < n and oracle_factorize(n) == [(n, 1)]
+        primality = self._count_calls(monkeypatch, "is_prime")
+        assert factorize(n).factors == ((n, 1),)
+        assert primality == [(n,)]
+
+    def test_product_of_primes_above_the_table_goes_through_rho(self, monkeypatch):
+        n = 10_007 * 10_009
+        rho = self._count_calls(monkeypatch, "_brent_rho")
+        assert factorize(n).factors == tuple(oracle_factorize(n)) == ((10_007, 1), (10_009, 1))
+        assert len(rho) == 1
 
     @given(st.integers(min_value=1, max_value=10**12))
     @settings(max_examples=200)

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exptriple.catalog import KNOWN_ANOMALOUS_ROWS
 from exptriple.solve import (
     Solution,
+    SolutionSet,
     correspond,
     count_N,
     detect_special_case,
@@ -46,6 +49,52 @@ def naive_solutions(a: int, b: int, c: int, max_bits: int) -> set[tuple[int, int
 
 def sol_tuples(sset) -> list[tuple[int, int, int]]:
     return [(s.x, s.y, s.z) for s in sset.solutions]
+
+
+def _reference_enumerate(t, max_bits: int) -> SolutionSet:
+    """Reference enumeration: for every z, every power of a below c^z."""
+    limit = 1 << max_bits
+    if t.c >= limit:
+        return SolutionSet(t, max_bits, (), (), bound_too_small=True)
+    a_powers = []
+    ax = t.a
+    while ax < limit:
+        a_powers.append(ax)
+        ax *= t.a
+    b_power_of = {}
+    by, y = t.b, 1
+    while by < limit:
+        b_power_of[by] = y
+        by *= t.b
+        y += 1
+    found = []
+    cz, z = t.c, 1
+    while cz < limit:
+        for x, ax in enumerate(a_powers, start=1):
+            if ax >= cz:
+                break
+            y = b_power_of.get(cz - ax)
+            if y is not None:
+                found.append(Solution(x, y, z))
+        cz *= t.c
+        z += 1
+    found.sort(key=Solution.key)
+    by_terms: dict[tuple[int, int], list[Solution]] = {}
+    for s in found:
+        by_terms.setdefault(term_multiset(t, s), []).append(s)
+    classes = tuple(
+        tuple(cl) for cl in sorted(by_terms.values(), key=lambda cl: cl[0].key())
+    )
+    return SolutionSet(t, max_bits, tuple(found), classes)
+
+
+def assert_matches_reference(a: int, b: int, c: int, *bounds: int) -> None:
+    t = build_triple(a, b, c)
+    for max_bits in bounds:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            got = enumerate_solutions(t, max_bits)
+        assert got == _reference_enumerate(t, max_bits), (a, b, c, max_bits)
 
 
 class TestEnumerate:
@@ -89,6 +138,82 @@ class TestEnumerate:
         assert set(sol_tuples(sset)) == naive_solutions(a, b, c, max_bits)
         for s in sset.solutions:
             assert a**s.x + b**s.y == c**s.z
+
+
+_PARTS = (1, 2, 3, 5, 7, 9, 11, 13, 15, 25, 35, 49)
+
+
+class TestMatchesReferenceLoop:
+    """Solutions, classes and their order equal the double loop's."""
+
+    def test_exhaustive_small(self):
+        for a in range(2, 25):
+            for b in range(2, 25):
+                for c in range(2, 97):
+                    assert_matches_reference(a, b, c, 64)
+
+    def test_every_small_bound(self):
+        # small bounds put solutions on the last power of a base below
+        # the bound, where the walks stop
+        for a in range(2, 13):
+            for b in range(2, 13):
+                for c in range(2, 49):
+                    assert_matches_reference(a, b, c, *range(1, 17))
+
+    @given(
+        st.sampled_from((2, 3, 5, 6, 10)),
+        st.tuples(*(st.integers(min_value=1, max_value=5),) * 3),
+        st.tuples(*(st.integers(min_value=0, max_value=3),) * 3),
+        st.tuples(*(st.sampled_from(_PARTS),) * 3),
+        st.booleans(),
+        st.none() | st.tuples(*(st.integers(min_value=1, max_value=3),) * 2),
+        st.integers(min_value=8, max_value=160),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_built_shared_prime_triples(
+        self, g, g_exps, q_exps, parts, equal_ab, sum_exps, max_bits
+    ):
+        # a = g^alpha*a1 and so on; a positive exponent triple of 7 makes
+        # a second shared prime whose exponents need not be proportional
+        # to g's.  With sum_exps = (x, y), c = a^x + b^y, so the triple
+        # has at least the solution (x, y, 1).
+        (alpha, beta, gamma), (qa, qb, qc), (a1, b1, c1) = g_exps, q_exps, parts
+        a, b, c = g**alpha * 7**qa * a1, g**beta * 7**qb * b1, g**gamma * 7**qc * c1
+        if equal_ab:
+            b = a
+        if sum_exps is not None:
+            c = a ** sum_exps[0] + b ** sum_exps[1]
+        assert_matches_reference(a, b, c, max_bits)
+
+    def test_two_shared_primes_with_unproportional_exponents(self):
+        for a, b, c in ((18, 12, 1944), (12, 18, 42), (6, 6, 12), (12, 18, 12**2 + 18)):
+            assert len(build_triple(a, b, c).common_primes) == 2
+            assert_matches_reference(a, b, c, 200)
+
+
+class TestEarlyExit:
+    @pytest.mark.parametrize("abc", [(6, 10, 15), (4, 6, 9), (2, 6, 3)])
+    def test_prime_of_exactly_two_bases(self, abc):
+        t = build_triple(*abc)
+        sset = enumerate_solutions(t, 64)
+        assert sset.solutions == () and sset.classes == ()
+        assert not sset.bound_too_small
+        assert naive_solutions(*abc, 64) == set()
+
+
+class TestReach:
+    """Known solutions come back unchanged at a bound of 10,000 bits."""
+
+    def test_two_two_six(self):
+        sset = enumerate_solutions(build_triple(2, 2, 6), 10_000)
+        assert sol_tuples(sset) == [(1, 2, 1), (2, 1, 1), (2, 5, 2), (5, 2, 2)]
+
+    @pytest.mark.parametrize("row", KNOWN_ANOMALOUS_ROWS, ids=lambda r: str(r[:3]))
+    def test_catalogue_rows(self, row):
+        a, b, c, x1, y1, z1, x2, y2, z2 = row
+        sset = enumerate_solutions(build_triple(a, b, c), 10_000)
+        assert set(sol_tuples(sset)) == {(x1, y1, z1), (x2, y2, z2)}
+        assert count_N(sset) == 2
 
 
 class TestMakeSolution:
