@@ -598,7 +598,3 @@ def run_check(number: int) -> CheckResult:
                 num, name, passed, detail, time.perf_counter() - start
             )
     raise ValueError(f"no check numbered {number}")
-
-
-def run_all() -> list[CheckResult]:
-    return [run_check(num) for num, _, _ in CHECKS]

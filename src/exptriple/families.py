@@ -20,18 +20,22 @@ Family IV requires g > 1; allowing g = 1 would reproduce every family I
 member with shifted parameters, so the constraint keeps I and IV
 disjoint.
 
-Membership comes in two strengths.  in_F asks whether the ordered
-nine-tuple literally equals a generated member.  in_family asks whether
-some member's two solutions produce the same two term multisets as the
-input's solutions (in either order), which is decided here in closed
-form: every candidate parameter is pinned down by exact root and
-valuation extractions from the term values, so a miss is a definitive
-"not in the family", not a search giving up.
+Membership comes in two strengths, both decided by one extractor per
+family.  Given the two term multisets of a nine-tuple's solutions, an
+extractor yields every parameter map whose member has exactly those
+multisets; each parameter is pinned down by exact root and valuation
+extractions from the term values, so running out of maps is a
+definitive "not in the family", not a search giving up.  in_family
+asks the extractors about the input's multisets in either solution
+order; in_F, which asks whether the ordered nine-tuple literally equals
+a generated member, is a filter on the same maps.  Both report the
+lexicographically least map.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .arith import as_power_of, power_representations, two_adic
@@ -256,123 +260,29 @@ def _try_gen(tag: str, params: dict[str, int]) -> NineTuple | None:
 
 
 # ---------------------------------------------------------------------------
-# exact membership: the ordered nine-tuple equals a generated member
+# membership: one parameter extractor per family behind in_F and in_family
 # ---------------------------------------------------------------------------
+
+# a parameter map and the member it generates
+_Found = tuple[dict[str, int], NineTuple]
+
 
 def in_F(nine: NineTuple) -> FamilyWitness | None:
     """Exact membership: does the ordered nine-tuple equal a member?
 
-    Parameters are solved from the tuple's shape, then the candidate
-    member is regenerated and compared field by field.  When several
-    parameter maps regenerate the same member (a base can be a perfect
-    power in more than one way), the lexicographically least map wins,
-    comparing values in alphabetical parameter order.
+    A filter on the family extractors: of the parameter maps whose member
+    has the tuple's term multisets, keep those whose member equals the
+    tuple itself.  When several maps regenerate the same member (a base
+    can be a perfect power in more than one way), the lexicographically
+    least map wins, comparing values in alphabetical parameter order.
     """
-    for solver in (_in_f_i, _in_f_ii, _in_f_iii, _in_f_iv):
-        witness = solver(nine)
-        if witness is not None:
-            return witness
+    pairs = nine.term_pairs()
+    for tag, extract in _EXTRACTORS:
+        best = _least(found for found in extract(*pairs) if found[1] == nine)
+        if best is not None:
+            return FamilyWitness(tag, best[0], nine, (0, 1))
     return None
 
-
-def _in_f_i(nine: NineTuple) -> FamilyWitness | None:
-    s1, s2 = nine.s1, nine.s2
-    if nine.a != 2 or (s1.y, s1.z) != (1, 1) or (s2.y, s2.z) != (2, 2):
-        return None
-    # c - b = 2^(u+1) and (b + c)/2 = 2^(u+h-1)
-    e = as_power_of(2, nine.c - nine.b) if nine.c > nine.b else None
-    if e is None or e < 2:
-        return None
-    u = e - 1
-    e2 = as_power_of(2, (nine.b + nine.c) // 2)
-    if e2 is None or e2 <= u:
-        return None
-    params = {"u": u, "h": e2 - u + 1}
-    if _try_gen("I", params) == nine:
-        return FamilyWitness("I", params, nine, (0, 1))
-    return None
-
-
-def _in_f_ii(nine: NineTuple) -> FamilyWitness | None:
-    if nine.b != 3 or nine.c != 3:
-        return None
-    params = {"t": nine.s1.y}
-    if _try_gen("II", params) == nine:
-        return FamilyWitness("II", params, nine, (0, 1))
-    return None
-
-
-def _in_f_iii(nine: NineTuple) -> FamilyWitness | None:
-    s1, s2 = nine.s1, nine.s2
-    if nine.a % 2 == 0 or (s1.y, s1.z) != (1, 1) or s2.y != s2.z:
-        return None
-    u, k = s1.x, s2.y
-    if k < 2:
-        return None
-    step = nine.c - nine.b          # g^(ju), so a^u must equal it
-    if step < 1 or nine.b % step or nine.a**u != step:
-        return None
-    d = nine.b // step
-    target = (d + 1) ** k - d**k
-    best = None
-    for g, e in reversed(power_representations(nine.a)):
-        if g < 3 or g % 2 == 0:
-            continue
-        w = as_power_of(g, target) if target > 1 else None
-        if w is None:
-            continue
-        params = {"g": g, "j": e, "u": u, "d": d, "k": k, "w": w}
-        if _try_gen("III", params) == nine:
-            key = _param_key(params)
-            if best is None or key < best[0]:
-                best = (key, params)
-    if best is None:
-        return None
-    return FamilyWitness("III", best[1], nine, (0, 1))
-
-
-def _in_f_iv(nine: NineTuple) -> FamilyWitness | None:
-    s1, s2 = nine.s1, nine.s2
-    if nine.a % 2 or (s1.y, s1.z) != (1, 1) or s2.y != s2.z:
-        return None
-    u, k = s1.x, s2.y
-    if k < 2 or k % 2:
-        return None
-    step = nine.c - nine.b          # a^u = 2^(iu) g^(ju)
-    if step < 1 or nine.a**u != step:
-        return None
-    if (2 * nine.b) % step:
-        return None
-    d = 2 * nine.b // step
-    if d < 3 or d % 2 == 0:
-        return None
-    i = two_adic(nine.a)            # a = 2^i g^j with g odd
-    big_g = nine.a >> i             # g^j
-    if big_g < 3:
-        return None
-    diff = (d + 2) ** k - d**k
-    odd_part = diff >> two_adic(diff)
-    best = None
-    for g, m in reversed(power_representations(big_g)):
-        if g < 3 or g % 2 == 0:
-            continue
-        w = as_power_of(g, odd_part) if odd_part > 1 else None
-        if w is None:
-            continue
-        params = {"g": g, "i": i, "j": m, "u": u, "d": d, "k": k, "w": w}
-        if _try_gen("IV", params) == nine:
-            full = _iv_full_params(params)
-            key = _param_key(full)
-            if best is None or key < best[0]:
-                best = (key, full)
-    if best is None:
-        return None
-    return FamilyWitness("IV", best[1], nine, (0, 1))
-
-
-# ---------------------------------------------------------------------------
-# correspondence membership: term multisets match some member's, either order
-# ---------------------------------------------------------------------------
 
 def in_family(nine: NineTuple) -> FamilyWitness | None:
     """Membership up to solution correspondence, decided in closed form.
@@ -386,19 +296,20 @@ def in_family(nine: NineTuple) -> FamilyWitness | None:
     """
     first, second = nine.term_pairs()
     pairings = (((first, second), (0, 1)), ((second, first), (1, 0)))
-    for solver in (_member_i, _member_ii, _member_iii, _member_iv):
-        for (low, high), matching in pairings:
-            witness = solver(low, high, matching)
-            if witness is not None:
-                return witness
+    for tag, extract in _EXTRACTORS:
+        for pair, matching in pairings:
+            best = _least(extract(*pair))
+            if best is not None:
+                return FamilyWitness(tag, best[0], best[1], matching)
     return None
 
 
-def _member_i(
-    first: tuple[int, int], second: tuple[int, int], matching: tuple[int, int]
-) -> FamilyWitness | None:
+def _least(found: Iterator[_Found]) -> _Found | None:
+    return min(found, key=lambda pm: _param_key(pm[0]), default=None)
+
+
+def _member_i(first: tuple[int, int], second: tuple[int, int]) -> Iterator[_Found]:
     # first should be {2^(u+1), 2^u (2^(h-1) - 1)}
-    best = None
     for p, q in (first, first[::-1]):
         e = as_power_of(2, p)
         if e is None or e < 2:
@@ -416,19 +327,11 @@ def _member_i(
             continue
         params = {"u": u, "h": h}
         member = _try_gen("I", params)
-        if member is None:
-            continue
-        key = _param_key(params)
-        if best is None or key < best[0]:
-            best = (key, params, member)
-    if best is None:
-        return None
-    return FamilyWitness("I", best[1], best[2], matching)
+        if member is not None:
+            yield params, member
 
 
-def _member_ii(
-    first: tuple[int, int], second: tuple[int, int], matching: tuple[int, int]
-) -> FamilyWitness | None:
+def _member_ii(first: tuple[int, int], second: tuple[int, int]) -> Iterator[_Found]:
     # first should be {3^t, 2 * 3^t}
     for p, q in (first, first[::-1]):
         t = as_power_of(3, p)
@@ -439,15 +342,11 @@ def _member_ii(
             continue
         member = _try_gen("II", {"t": t})
         if member is not None:
-            return FamilyWitness("II", {"t": t}, member, matching)
-    return None
+            yield {"t": t}, member
 
 
-def _member_iii(
-    first: tuple[int, int], second: tuple[int, int], matching: tuple[int, int]
-) -> FamilyWitness | None:
+def _member_iii(first: tuple[int, int], second: tuple[int, int]) -> Iterator[_Found]:
     # first = {P, P*d} with P = g^(ju); second = {P^k * g^w, (P*d)^k}
-    best = None
     for p, q in (first, first[::-1]):
         if p % 2 == 0 or q % p:
             continue
@@ -459,32 +358,24 @@ def _member_iii(
             target = (d + 1) ** k - d**k
             if target <= 1 or p2 != p**k * target:
                 continue
-            for g, e in reversed(power_representations(p)):
+            for g, e in power_representations(p):
                 if g < 3 or g % 2 == 0:
                     continue
                 w = as_power_of(g, target)
                 if w is None:
                     continue
-                params = {"g": g, "j": 1, "u": e, "d": d, "k": k, "w": w}
-                member = _try_gen("III", params)
-                if member is None:
-                    continue
-                if member.term_pairs() != (first, second):
-                    continue
-                key = _param_key(params)
-                if best is None or key < best[0]:
-                    best = (key, params, member)
-    if best is None:
-        return None
-    return FamilyWitness("III", best[1], best[2], matching)
+                for j in range(1, e + 1):
+                    if e % j or w % j:
+                        continue
+                    params = {"g": g, "j": j, "u": e // j, "d": d, "k": k, "w": w}
+                    member = _try_gen("III", params)
+                    if member is not None and member.term_pairs() == (first, second):
+                        yield params, member
 
 
-def _member_iv(
-    first: tuple[int, int], second: tuple[int, int], matching: tuple[int, int]
-) -> FamilyWitness | None:
+def _member_iv(first: tuple[int, int], second: tuple[int, int]) -> Iterator[_Found]:
     # first = {P, P*d/2} with P = 2^(iu) g^(ju) = a^u
     # second = {P^k * 2^(iw/j) g^w, (P*d/2)^k}
-    best = None
     for p, q in (first, first[::-1]):
         big_e = two_adic(p)
         if big_e < 1 or two_adic(q) != big_e - 1:
@@ -508,7 +399,7 @@ def _member_iv(
                 continue
             h = two_adic(2 * d + 2)
             v = two_adic(k)
-            for g, m in reversed(power_representations(big_g)):
+            for g, m in power_representations(big_g):
                 if g < 3 or g % 2 == 0:
                     continue
                 w = as_power_of(g, odd_part)
@@ -519,26 +410,24 @@ def _member_iv(
                     continue
                 if p2 != (p**k << shift) * g**w:
                     continue
-                u = math.gcd(big_e, m)          # largest split gives least i
-                j = m // u
-                if w % j:
-                    continue
-                params = {
-                    "g": g, "i": big_e // u, "j": j, "u": u,
-                    "d": d, "k": k, "w": w,
-                }
-                member = _try_gen("IV", params)
-                if member is None:
-                    continue
-                if member.term_pairs() != (first, second):
-                    continue
-                full = _iv_full_params(params)
-                key = _param_key(full)
-                if best is None or key < best[0]:
-                    best = (key, full, member)
-    if best is None:
-        return None
-    return FamilyWitness("IV", best[1], best[2], matching)
+                common = math.gcd(big_e, m)     # u runs over its divisors
+                for u in range(1, common + 1):
+                    if common % u or w % (m // u):
+                        continue
+                    params = {
+                        "g": g, "i": big_e // u, "j": m // u, "u": u,
+                        "d": d, "k": k, "w": w,
+                    }
+                    member = _try_gen("IV", params)
+                    if member is not None and member.term_pairs() == (first, second):
+                        yield _iv_full_params(params), member
+
+
+# each extractor yields every (params, member) whose member's term_pairs()
+# equal (first, second); family IV maps carry the derived h and v
+_EXTRACTORS = (
+    ("I", _member_i), ("II", _member_ii), ("III", _member_iii), ("IV", _member_iv),
+)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ from .triple import build_triple
 
 @dataclass(frozen=True)
 class EquationRecord:
-    """A coprime equation A + B = C with all three factorizations.
+    """A coprime equation A + B = C with the factorizations of A and B.
 
     gcd(A, B) = 1 together with A + B = C makes the three values
     pairwise coprime.
@@ -68,10 +68,9 @@ class EquationRecord:
     C: int
     fa: Factored
     fb: Factored
-    fc: Factored
 
     def swapped(self) -> "EquationRecord":
-        return EquationRecord(self.B, self.A, self.C, self.fb, self.fa, self.fc)
+        return EquationRecord(self.B, self.A, self.C, self.fb, self.fa)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.A, self.B, self.C)
@@ -81,7 +80,7 @@ class EquationRecord:
 
 
 def make_equation(A: int, B: int, C: int) -> EquationRecord:
-    """Validate and factor one equation A + B = C with coprime terms."""
+    """Validate one equation A + B = C with coprime terms and factor A, B."""
     if A < 1 or B < 1:
         raise ValueError(f"terms must be positive, got {A} and {B}")
     if A + B != C:
@@ -89,7 +88,7 @@ def make_equation(A: int, B: int, C: int) -> EquationRecord:
     shared = math.gcd(A, B)
     if shared != 1:
         raise ValueError(f"terms {A} and {B} share the factor {shared}")
-    return EquationRecord(A, B, C, factorize(A), factorize(B), factorize(C))
+    return EquationRecord(A, B, C, factorize(A), factorize(B))
 
 
 @dataclass(frozen=True)

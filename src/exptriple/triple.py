@@ -42,9 +42,6 @@ class Triple:
     def __str__(self) -> str:
         return f"({self.a}, {self.b}, {self.c})"
 
-    def exponent_triple(self, p: int) -> tuple[int, int, int]:
-        return self.exponents[p]
-
     @property
     def has_shared_prime(self) -> bool:
         return bool(self.common_primes)

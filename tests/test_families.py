@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exptriple import acceptance
 from exptriple.arith import is_prime, power_representations, two_adic
 from exptriple.errors import FamilyConstraintError
 from exptriple.families import (
@@ -88,6 +89,31 @@ def _family_iv_grid(d_max=29, k_max=6, u_max=3, i_cap=4, bit_cap=128):
                             {"g": g, "i": i, "j": j, "u": u, "d": d, "k": k, "w": w}
                         )
     return combos
+
+
+def _grid_maps():
+    """(tag, full parameter map) for every map of the test and acceptance grids."""
+    maps = [("I", {"u": u, "h": h}) for u in range(1, 9) for h in range(2, 9)]
+    maps += [("II", {"t": t}) for t in range(1, 9)]
+    maps += [("III", p) for p in _family_iii_grid() + list(acceptance._grid_iii())]
+    for p in _family_iv_grid() + list(acceptance._grid_iv()):
+        maps.append(("IV", {**p, "h": two_adic(2 * p["d"] + 2), "v": two_adic(p["k"])}))
+    return maps
+
+
+def _grid_members():
+    """Each distinct grid member with the tag of the family generating it."""
+    return {gen_family(tag, p): tag for tag, p in _grid_maps()}
+
+
+def _reorderings(nine):
+    """nine with its solutions swapped, its bases swapped, and both."""
+    a, b, c, x1, y1, z1, x2, y2, z2 = nine.as_tuple()
+    return (
+        make_nine_tuple(a, b, c, x2, y2, z2, x1, y1, z1),
+        make_nine_tuple(b, a, c, y1, x1, z1, y2, x2, z2),
+        make_nine_tuple(b, a, c, y2, x2, z2, y1, x1, z1),
+    )
 
 
 class TestMakeNineTuple:
@@ -255,6 +281,40 @@ class TestInF:
         assert wit.params == {"g": 3, "j": 2, "u": 1, "d": 4, "k": 2, "w": 2}
         assert gen_family("III", wit.params) == member
 
+    def test_canonical_parameters_for_even_power_base(self):
+        # a = 36 = 2^2 * 3^2 = 2^2 * 9: i = j = 2 is not the largest split
+        # u = gcd(iu, ju) of the term 2^(iu) g^(ju), and g = 3 beats g = 9
+        member = gen_family("IV", {"g": 3, "i": 2, "j": 2, "u": 1, "d": 35, "k": 2, "w": 2})
+        assert member.as_tuple() == (36, 630, 666, 1, 1, 1, 3, 2, 2)
+        wit = in_F(member)
+        assert wit is not None and wit.member == member
+        assert wit.params == {
+            "g": 3, "i": 2, "j": 2, "u": 1, "d": 35, "k": 2, "w": 2, "h": 3, "v": 1,
+        }
+        # correspondence membership takes the least map over all members
+        # with these term multisets: u = 2 gives the smaller i
+        wit = in_family(member)
+        assert wit is not None and wit.matching == (0, 1)
+        assert wit.params == {
+            "g": 3, "i": 1, "j": 1, "u": 2, "d": 35, "k": 2, "w": 2, "h": 3, "v": 1,
+        }
+        assert wit.member.as_tuple() == (6, 630, 666, 2, 1, 1, 6, 2, 2)
+
+    def test_least_map_over_grids(self):
+        # every map generating a member is grouped under it; in_F must
+        # report the least one, values compared in alphabetical key order
+        groups = {}
+        for tag, params in _grid_maps():
+            groups.setdefault(gen_family(tag, params), []).append((tag, params))
+        assert len(groups) > 500
+        assert any(len(maps) > 1 for maps in groups.values())
+        for member, maps in groups.items():
+            tag, least = min(maps, key=lambda m: [m[1][k] for k in sorted(m[1])])
+            wit = in_F(member)
+            assert wit is not None and wit.family == tag, member
+            assert wit.params == least, member
+            assert wit.member == member and wit.matching == (0, 1)
+
 
 class TestInFamily:
     def test_correspondence_into_family_iii(self):
@@ -296,6 +356,23 @@ class TestInFamily:
         assert wit is not None and wit.family == "I"
         assert wit.params == {"u": 2, "h": 2}
         assert wit.member.as_tuple() == (2, 4, 12, 3, 1, 1, 7, 2, 2)
+
+    def test_agrees_with_in_F_on_grid_reorderings(self):
+        for member, tag in _grid_members().items():
+            sols_swapped, bases_swapped, both = _reorderings(member)
+            for nine in (member, bases_swapped):
+                exact = in_F(nine)
+                wit = in_family(nine)
+                assert wit is not None and wit.family == tag, nine
+                assert exact is None or exact.family == tag
+                assert wit.member.term_pairs() == nine.term_pairs()
+                assert wit.matching == (0, 1)
+            for nine in (sols_swapped, both):
+                assert in_F(nine) is None, nine
+                wit = in_family(nine)
+                assert wit is not None and wit.family == tag, nine
+                assert wit.member.term_pairs() == member.term_pairs()
+                assert wit.matching == (1, 0)
 
 
 class TestClassifyNine:
