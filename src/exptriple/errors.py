@@ -43,6 +43,7 @@ class UsageError(ValueError):
 class InputDataError(ValueError):
     """An input file or data stream could not be used.
 
-    Covers unreadable equation files and inputs whose every line was
-    rejected.  Maps to exit code 2 in the CLI.
+    Covers unreadable equation files, inputs whose every line was
+    rejected, and checkpoint paths that cannot be read or written.  Maps
+    to exit code 2 in the CLI.
     """

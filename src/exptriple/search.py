@@ -3,19 +3,20 @@
 Two solutions of a^x + b^y = c^z over bases with a common factor force a
 rigid linear structure on the exponents.  Write a = g^alpha * a1,
 b = g^beta * b1, c = g^gamma * c1 with g, a1, b1, c1 pairwise coprime.
-Dividing each solution by its g-content leaves a coprime identity in
-small numbers, of one of two kinds depending on which side keeps g:
+Dividing each solution by its g-content leaves a coprime Identity in
+small numbers, whose carrier names the term that keeps g:
 
-    g^w1 * a1^x1 + b1^y1 = c1^z1        (left term carries g)
-    a1^x2 + g^w2 * b1^y2 = c1^z2        (right term carries g)
+    g^w1 * a1^x1 + b1^y1 = c1^z1        (carrier "a")
+    a1^x2 + g^w2 * b1^y2 = c1^z2        (carrier "b")
 
-Matching one identity of each kind over the same (g, a1, b1, c1) and
+Matching one identity of each carrier over the same (g, a1, b1, c1) and
 solving the linear exponent system recovers (alpha, beta, gamma), hence
 a candidate triple whose two expected solutions are then verified by
 full enumeration and classified.
 
-Two front ends are offered.  The pipeline decomposes given coprime
-equations A + B = C into identities and pairs them globally; the direct
+Two front ends are offered.  The pipeline decomposes each given coprime
+equation A + B = C into all of its identities in one call, with either
+term carrying g in either slot, and pairs them globally; the direct
 search scans every identity inside an explicit box of part sizes and
 exponents.  Both deduplicate results under base swap and solution
 reordering and return them in sorted order.
@@ -45,7 +46,7 @@ from .arith import (
 )
 from .classify import type_profile
 from .config import RunConfig, SearchBounds
-from .errors import InternalInvariantError, UsageError
+from .errors import InputDataError, InternalInvariantError, UsageError
 from .families import Classification, NineTuple, canonical_nine, classify_nine, make_nine_tuple
 from .solve import Solution, enumerate_solutions
 from .triple import build_triple
@@ -68,9 +69,6 @@ class EquationRecord:
     C: int
     fa: Factored
     fb: Factored
-
-    def swapped(self) -> "EquationRecord":
-        return EquationRecord(self.B, self.A, self.C, self.fb, self.fa)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.A, self.B, self.C)
@@ -206,109 +204,80 @@ def generate_equations(rad_bound: int, height_bound: int) -> list[EquationRecord
 
 
 # ---------------------------------------------------------------------------
-# coprime identity shapes
+# coprime identities
 # ---------------------------------------------------------------------------
 
 
-def _check_parts(g: int, a1: int, b1: int, c1: int) -> None:
-    if g < 2:
-        raise ValueError(f"g must be at least 2, got {g}")
-    if a1 < 1 or b1 < 1:
-        raise ValueError("a1 and b1 must be positive")
-    if c1 < 2:
-        raise ValueError(f"c1 must be at least 2, got {c1}")
-    named = (("g", g), ("a1", a1), ("b1", b1), ("c1", c1))
-    for (n1, v1), (n2, v2) in combinations(named, 2):
-        shared = math.gcd(v1, v2)
-        if shared != 1:
-            raise ValueError(f"{n1} and {n2} share the factor {shared}")
-
-
 @dataclass(frozen=True)
-class Shape53:
-    """Identity g^w1 * a1^x1 + b1^y1 = c1^z1 with the left term carrying g.
+class Identity:
+    """Coprime identity with one term carrying g^w.
 
-    x1 is None exactly when a1 = 1: the exponent of a unit base is then
+    carrier "a" is g^w * a1^x + b1^y = c1^z and carrier "b" is
+    a1^x + g^w * b1^y = c1^z.  g, a1, b1 and c1 are pairwise coprime.
+    x is None exactly when a1 = 1: the exponent of a unit base is then
     symbolic and gets resolved by the paired linear system.  A unit b1
-    keeps the literal exponent 1 instead, since y1 enters the system as
-    a known value.
+    keeps the literal exponent 1 instead, since y enters the system as a
+    known value.
     """
 
+    carrier: str
     g: int
-    w1: int
+    w: int
     a1: int
-    x1: int | None
+    x: int | None
     b1: int
-    y1: int
+    y: int
     c1: int
-    z1: int
+    z: int
 
     def __post_init__(self) -> None:
-        _check_parts(self.g, self.a1, self.b1, self.c1)
-        if (self.a1 == 1) != (self.x1 is None):
-            raise ValueError("x1 must be None exactly when a1 is 1")
-        exponents = [("w1", self.w1), ("y1", self.y1), ("z1", self.z1)]
-        if self.x1 is not None:
-            exponents.append(("x1", self.x1))
+        if self.carrier not in ("a", "b"):
+            raise ValueError(f"carrier must be 'a' or 'b', got {self.carrier!r}")
+        g, a1, b1, c1 = self.key()
+        if g < 2:
+            raise ValueError(f"g must be at least 2, got {g}")
+        if a1 < 1 or b1 < 1:
+            raise ValueError("a1 and b1 must be positive")
+        if c1 < 2:
+            raise ValueError(f"c1 must be at least 2, got {c1}")
+        named = (("g", g), ("a1", a1), ("b1", b1), ("c1", c1))
+        for (n1, v1), (n2, v2) in combinations(named, 2):
+            shared = math.gcd(v1, v2)
+            if shared != 1:
+                raise ValueError(f"{n1} and {n2} share the factor {shared}")
+        if (a1 == 1) != (self.x is None):
+            raise ValueError("x must be None exactly when a1 is 1")
+        exponents = [("w", self.w), ("y", self.y), ("z", self.z)]
+        if self.x is not None:
+            exponents.append(("x", self.x))
         for name, e in exponents:
             if e < 1:
                 raise ValueError(f"exponent {name} must be positive, got {e}")
-        if self.left_value() + self.b1**self.y1 != self.c1**self.z1:
-            raise ValueError(f"identity does not hold: {self}")
-
-    def left_value(self) -> int:
-        base = 1 if self.a1 == 1 else self.a1**self.x1
-        return self.g**self.w1 * base
-
-    def key(self) -> tuple[int, int, int, int]:
-        return (self.g, self.a1, self.b1, self.c1)
-
-    def __str__(self) -> str:
-        ax = "" if self.a1 == 1 else f" * {self.a1}^{self.x1}"
-        return f"{self.g}^{self.w1}{ax} + {self.b1}^{self.y1} = {self.c1}^{self.z1}"
-
-
-@dataclass(frozen=True)
-class Shape54:
-    """Identity a1^x2 + g^w2 * b1^y2 = c1^z2 with the right term carrying g.
-
-    x2 is None exactly when a1 = 1, mirroring Shape53; a unit b1 keeps
-    the literal exponent 1.
-    """
-
-    a1: int
-    x2: int | None
-    g: int
-    w2: int
-    b1: int
-    y2: int
-    c1: int
-    z2: int
-
-    def __post_init__(self) -> None:
-        _check_parts(self.g, self.a1, self.b1, self.c1)
-        if (self.a1 == 1) != (self.x2 is None):
-            raise ValueError("x2 must be None exactly when a1 is 1")
-        exponents = [("w2", self.w2), ("y2", self.y2), ("z2", self.z2)]
-        if self.x2 is not None:
-            exponents.append(("x2", self.x2))
-        for name, e in exponents:
-            if e < 1:
-                raise ValueError(f"exponent {name} must be positive, got {e}")
-        left = 1 if self.a1 == 1 else self.a1**self.x2
-        if left + self.g**self.w2 * self.b1**self.y2 != self.c1**self.z2:
+        a_term = 1 if self.x is None else a1**self.x
+        b_term = b1**self.y
+        if self.carrier == "a":
+            a_term *= g**self.w
+        else:
+            b_term *= g**self.w
+        if a_term + b_term != c1**self.z:
             raise ValueError(f"identity does not hold: {self}")
 
     def key(self) -> tuple[int, int, int, int]:
         return (self.g, self.a1, self.b1, self.c1)
 
     def __str__(self) -> str:
-        ax = "1" if self.a1 == 1 else f"{self.a1}^{self.x2}"
-        return f"{ax} + {self.g}^{self.w2} * {self.b1}^{self.y2} = {self.c1}^{self.z2}"
+        gw = f"{self.g}^{self.w}"
+        by = f"{self.b1}^{self.y}"
+        cz = f"{self.c1}^{self.z}"
+        if self.carrier == "a":
+            ax = "" if self.a1 == 1 else f" * {self.a1}^{self.x}"
+            return f"{gw}{ax} + {by} = {cz}"
+        ax = "1" if self.a1 == 1 else f"{self.a1}^{self.x}"
+        return f"{ax} + {gw} * {by} = {cz}"
 
 
-def _carrier_splits(fac: Factored) -> list[tuple[int, int]]:
-    """Every (g, w) with g primitive and g^w the full content of a prime subset."""
+def _carrier_splits(fac: Factored) -> list[tuple[int, int, int]]:
+    """Every (g, w, g^w) with g primitive and g^w the full content of a prime subset."""
     factors = fac.factors
     splits = []
     for mask in range(1, 1 << len(factors)):
@@ -320,42 +289,31 @@ def _carrier_splits(fac: Factored) -> list[tuple[int, int]]:
     return splits
 
 
-def decompose(record: EquationRecord, side: str) -> list[Shape53] | list[Shape54]:
-    """All identity shapes of one record with the chosen term carrying g.
+def decompose(record: EquationRecord) -> list[Identity]:
+    """Every identity of one record, with each term in turn carrying g.
 
-    side "left" makes A the carrying term and yields Shape53 values;
-    side "right" makes B the carrying term and yields Shape54 values.
-    Every nonempty subset of the carrier's primes becomes one (g, w)
-    split with g primitive and g^w the subset's full content; the
-    cofactor, the pure term and C then range over all of their perfect
-    power representations, exponent 1 included.
+    Every nonempty subset of a carrying term's primes becomes one (g, w)
+    split with g primitive and g^w the subset's full content.  The
+    cofactor, the other term and C then range over all of their perfect
+    power representations, exponent 1 included, and each combination is
+    placed twice: with the carrier in the a-slot (carrier "a", the
+    cofactor as a1) and in the b-slot (carrier "b", the cofactor as b1).
+    A term equal to 1 carries nothing.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if side == "left":
-        carrier, carrier_fac, pure = record.A, record.fa, record.B
-    else:
-        carrier, carrier_fac, pure = record.B, record.fb, record.A
-
-    if carrier == 1:
-        return []
-    c_reps = power_representations(record.C)
-    pure_reps = power_representations(pure)
-    shapes: list[Shape53] | list[Shape54] = []
-    for g, w, content in _carrier_splits(carrier_fac):
-        m = carrier // content
-        for mb, me in power_representations(m):
-            for pb, pe in pure_reps:
-                for cb, ce in c_reps:
-                    if side == "left":
-                        shapes.append(Shape53(
-                            g, w, mb, None if mb == 1 else me, pb, pe, cb, ce,
+    a_reps, b_reps, c_reps = (power_representations(n) for n in record.as_tuple())
+    identities: list[Identity] = []
+    for term, fac, other_reps in ((record.A, record.fa, b_reps), (record.B, record.fb, a_reps)):
+        for g, w, content in _carrier_splits(fac):
+            for mb, me in power_representations(term // content):
+                for pb, pe in other_reps:
+                    for cb, ce in c_reps:
+                        identities.append(Identity(
+                            "a", g, w, mb, None if mb == 1 else me, pb, pe, cb, ce,
                         ))
-                    else:
-                        shapes.append(Shape54(
-                            pb, None if pb == 1 else pe, g, w, mb, me, cb, ce,
+                        identities.append(Identity(
+                            "b", g, w, pb, None if pb == 1 else pe, mb, me, cb, ce,
                         ))
-    return shapes
+    return identities
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +327,7 @@ class SolvedSystem:
 
     alpha, beta, gamma scale g into the three bases; x1 and x2 are the
     first exponents of the two expected solutions, resolved even when
-    they were symbolic in the shapes.
+    they were symbolic (a1 = 1) in the paired identities.
     """
 
     alpha: int
@@ -384,26 +342,33 @@ class SolvedSystem:
                 raise ValueError(f"{name} must be positive")
 
 
-def pair_and_solve(s53: Shape53, s54: Shape54) -> tuple[SolvedSystem | None, str | None]:
-    """Solve the exponent system of a matched shape pair.
+def pair_and_solve(left: Identity, right: Identity) -> tuple[SolvedSystem | None, str | None]:
+    """Solve the exponent system of a matched identity pair.
 
-    The pair must agree on (g, a1, b1, c1), and a1 = b1 = 1 is rejected
-    because both sides then collapse to pure powers of g.  Returns
+    left must have carrier "a" and right carrier "b", giving the first
+    and the second expected solution.  The pair must agree on
+    (g, a1, b1, c1), and a1 = b1 = 1 is rejected because both sides
+    then collapse to pure powers of g.  Returns
     (system, None) on success and (None, reason) when no positive
     integral solution exists; reasons are "degenerate-denominator",
     "nonpositive-gamma", "non-integral-gamma", "non-integral-beta",
     "non-integral-alpha" and "gamma-mismatch".
     """
-    if s53.key() != s54.key():
+    if (left.carrier, right.carrier) != ("a", "b"):
         raise ValueError(
-            f"shapes pair only when they share (g, a1, b1, c1): "
-            f"{s53.key()} vs {s54.key()}"
+            f"pairing takes carrier 'a' then carrier 'b', got "
+            f"{left.carrier!r} then {right.carrier!r}"
         )
-    if s53.a1 == 1 and s53.b1 == 1:
+    if left.key() != right.key():
+        raise ValueError(
+            f"identities pair only when they share (g, a1, b1, c1): "
+            f"{left.key()} vs {right.key()}"
+        )
+    if left.a1 == 1 and left.b1 == 1:
         raise ValueError("a1 and b1 cannot both be 1; the pair carries no content")
 
-    w1, y1, z1 = s53.w1, s53.y1, s53.z1
-    w2, y2, z2 = s54.w2, s54.y2, s54.z2
+    w1, y1, z1 = left.w, left.y, left.z
+    w2, y2, z2 = right.w, right.y, right.z
 
     den = y2 * z1 - z2 * y1
     if den == 0:
@@ -418,12 +383,12 @@ def pair_and_solve(s53: Shape53, s54: Shape54) -> tuple[SolvedSystem | None, str
         return None, "non-integral-beta"
     beta = z1 * gamma // y1
 
-    if s53.a1 == 1:
+    if left.a1 == 1:
         alpha = 1
         x1 = z1 * gamma + w1
         x2 = z2 * gamma
     else:
-        x1, x2 = s53.x1, s54.x2
+        x1, x2 = left.x, right.x
         den2 = x1 * z2 - z1 * x2
         if den2 == 0:
             return None, "degenerate-denominator"
@@ -447,7 +412,7 @@ def pair_and_solve(s53: Shape53, s54: Shape54) -> tuple[SolvedSystem | None, str
     )
     if not all(checks):
         raise InternalInvariantError(
-            f"solved system fails re-substitution: {system} for {s53} / {s54}"
+            f"solved system fails re-substitution: {system} for {left} / {right}"
         )
     return system, None
 
@@ -478,7 +443,7 @@ class ReconstructionResult:
 
 
 def reconstruct_and_verify(
-    s53: Shape53, s54: Shape54, system: SolvedSystem, max_bits: int
+    left: Identity, right: Identity, system: SolvedSystem, max_bits: int
 ) -> ReconstructionResult:
     """Rebuild (a, b, c) from a solved pair and verify it end to end.
 
@@ -487,14 +452,14 @@ def reconstruct_and_verify(
     is Type A and the other Type B at every shared prime; the pair is
     then classified as a family member or anomalous.
     """
-    g = s53.g
-    a = g**system.alpha * s53.a1
-    b = g**system.beta * s53.b1
-    c = g**system.gamma * s53.c1
+    g = left.g
+    a = g**system.alpha * left.a1
+    b = g**system.beta * left.b1
+    c = g**system.gamma * left.c1
     bases = (a, b, c)
 
-    sol1 = (system.x1, s53.y1, s53.z1)
-    sol2 = (system.x2, s54.y2, s54.z2)
+    sol1 = (system.x1, left.y, left.z)
+    sol2 = (system.x2, right.y, right.z)
     if sol1 == sol2:
         return ReconstructionResult(bases, None, None, "duplicate-solution")
 
@@ -507,8 +472,8 @@ def reconstruct_and_verify(
             # their parts and exponents instead
             raise InternalInvariantError(
                 f"reconstructed solution {x, y, z} does not substitute into "
-                f"(g^{system.alpha} * {s53.a1}, g^{system.beta} * {s53.b1}, "
-                f"g^{system.gamma} * {s53.c1}) with g = {g}"
+                f"(g^{system.alpha} * {left.a1}, g^{system.beta} * {left.b1}, "
+                f"g^{system.gamma} * {left.c1}) with g = {g}"
             )
 
     effective_bits = max(
@@ -548,8 +513,9 @@ class PipelineOutcome:
     """Deduplicated pipeline results plus counting statistics.
 
     anomalous and family hold canonical nine-tuples sorted by value;
-    family entries carry their classification.  stats counts shapes,
-    pairings and every rejection reason under a "reason:" prefix.
+    family entries carry their classification.  stats counts identities
+    (carrier "a" as shapes_53, carrier "b" as shapes_54), pairings and
+    every rejection reason under a "reason:" prefix.
     """
 
     anomalous: tuple[NineTuple, ...]
@@ -562,10 +528,10 @@ def run_pipeline(
 ) -> PipelineOutcome:
     """Decompose, pair, solve and verify a batch of coprime equations.
 
-    Each equation contributes identities in both orientations and with
-    either term carrying g; shapes are then paired globally over their
-    (g, a1, b1, c1) key, so the two solutions of one triple may come
-    from different input equations.
+    Each equation contributes every identity of decompose, with either
+    term carrying g in either slot; identities are then paired globally
+    over their (g, a1, b1, c1) key, carrier "a" with carrier "b", so the
+    two solutions of one triple may come from different input equations.
     """
     if config is None:
         config = RunConfig()
@@ -574,37 +540,37 @@ def run_pipeline(
     unique = {record.as_tuple(): record for record in records}
     stats["records"] = len(unique)
 
-    buckets: dict[tuple[int, int, int, int], tuple[list[Shape53], list[Shape54]]] = {}
+    buckets: dict[tuple[int, int, int, int], tuple[list[Identity], list[Identity]]] = {}
     for key in sorted(unique):
-        record = unique[key]
-        for variant in (record, record.swapped()):
-            for shape in decompose(variant, "left"):
-                buckets.setdefault(shape.key(), ([], []))[0].append(shape)
+        for identity in decompose(unique[key]):
+            lefts, rights = buckets.setdefault(identity.key(), ([], []))
+            if identity.carrier == "a":
+                lefts.append(identity)
                 stats["shapes_53"] += 1
-            for shape in decompose(variant, "right"):
-                buckets.setdefault(shape.key(), ([], []))[1].append(shape)
+            else:
+                rights.append(identity)
                 stats["shapes_54"] += 1
 
     anomalous: dict[tuple[int, ...], NineTuple] = {}
     family: dict[tuple[int, ...], tuple[NineTuple, Classification]] = {}
     for key in sorted(buckets):
-        list53, list54 = buckets[key]
-        if not list53 or not list54:
+        lefts, rights = buckets[key]
+        if not lefts or not rights:
             continue
         _, a1, b1, _ = key
         if a1 == 1 and b1 == 1:
-            stats["pairs_skipped"] += len(list53) * len(list54)
+            stats["pairs_skipped"] += len(lefts) * len(rights)
             continue
         stats["pair_keys"] += 1
-        for s53 in list53:
-            for s54 in list54:
+        for left in lefts:
+            for right in rights:
                 stats["pairs"] += 1
-                system, why = pair_and_solve(s53, s54)
+                system, why = pair_and_solve(left, right)
                 if system is None:
                     stats[f"reason:{why}"] += 1
                     continue
                 stats["systems"] += 1
-                result = reconstruct_and_verify(s53, s54, system, config.max_bits)
+                result = reconstruct_and_verify(left, right, system, config.max_bits)
                 if result.reason is not None:
                     stats[f"reason:{result.reason}"] += 1
                     continue
@@ -640,14 +606,14 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
     """Scan one (g, a1) cell of the box and return anomalous nine-tuples.
 
     The cell is streamed one b1 at a time, and only that b1's data is
-    held.  Each left-carrying sum g^w1 * a1^x1 + b1^y1 is filed under
+    held.  Each carrier "a" sum g^w1 * a1^x1 + b1^y1 is filed under
     every c1 with c1^z1 equal to it: itself with z1 = 1 and each root
-    that perfect_powers finds.  The right-carrying sums
+    that perfect_powers finds.  The carrier "b" sums
     a1^x2 + g^w2 * b1^y2 are never root-tested; they are looked up in a
     table of the powers c1^z2 of the filed c1, capped at the largest
-    right-side sum, since a right identity whose c1 has no left identity
-    pairs with nothing.  Every identity pair that agrees on c1 is then
-    solved and verified.
+    carrier "b" sum, since a carrier "b" identity whose c1 has no
+    carrier "a" identity pairs with nothing.  Every identity pair that
+    agrees on c1 is then solved and verified.
     """
     g, a1, bounds, max_bits = task
     exp_max = bounds.exp_max
@@ -673,9 +639,9 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
         b_pows = [b1**y for y in range(exp_max + 1)]
 
         by_c: dict[int, list[tuple[int, int | None, int, int]]] = {}
-        for w1, x1, left in lefts:
+        for w1, x1, carried in lefts:
             for y1 in b_exps:
-                total = left + b_pows[y1]
+                total = carried + b_pows[y1]
                 by_c.setdefault(total, []).append((w1, x1, y1, 1))
                 r63 = total % 63
                 if not (
@@ -698,26 +664,26 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
                 c_powers.setdefault(value, []).append((c1, z))
                 value *= c1
 
-        by_c54: dict[int, list[tuple[int | None, int, int, int]]] = {}
+        by_c_right: dict[int, list[tuple[int | None, int, int, int]]] = {}
         for x2, pure in pures:
             for w2 in exps:
                 g_w = g_pows[w2]
                 for y2 in b_exps:
                     for c1, z2 in c_powers.get(pure + g_w * b_pows[y2], ()):
-                        by_c54.setdefault(c1, []).append((x2, w2, y2, z2))
+                        by_c_right.setdefault(c1, []).append((x2, w2, y2, z2))
 
-        for c1, entries54 in by_c54.items():
-            shapes54 = [
-                Shape54(a1, x2, g, w2, b1, y2, c1, z2)
-                for x2, w2, y2, z2 in entries54
+        for c1, entries in by_c_right.items():
+            rights = [
+                Identity("b", g, w2, a1, x2, b1, y2, c1, z2)
+                for x2, w2, y2, z2 in entries
             ]
             for w1, x1, y1, z1 in by_c[c1]:
-                s53 = Shape53(g, w1, a1, x1, b1, y1, c1, z1)
-                for s54 in shapes54:
-                    system, _ = pair_and_solve(s53, s54)
+                left = Identity("a", g, w1, a1, x1, b1, y1, c1, z1)
+                for right in rights:
+                    system, _ = pair_and_solve(left, right)
                     if system is None:
                         continue
-                    result = reconstruct_and_verify(s53, s54, system, max_bits)
+                    result = reconstruct_and_verify(left, right, system, max_bits)
                     if result.verdict is not None and result.verdict.kind == "anomalous":
                         rows.add(result.nine.as_tuple())
     return sorted(rows)
@@ -756,15 +722,14 @@ def _read_journal(
     A missing or empty file has no cells and no sound part.  A torn last
     line, one without its newline or one that does not parse, is left
     out of the sound part.  Raises ValueError, giving the reason, when
-    the file is not a journal of this run.
+    the file is not a journal of this run, and OSError when it cannot be
+    read.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
         return {}, 0
-    except OSError as exc:
-        raise ValueError(f"cannot be read ({exc})") from exc
     if not data:
         return {}, 0
     lines = data.split(b"\n")
@@ -799,20 +764,24 @@ def _open_journal(
 
     A journal whose header matches keeps its finished cells; a torn last
     line is cut off.  Any other existing file is discarded with a
-    UserWarning.
+    UserWarning.  A path that cannot be read, truncated or created (a
+    directory, a missing parent directory) raises InputDataError.
     """
     try:
-        cells, end = _read_journal(path, header, units)
-    except ValueError as exc:
-        warnings.warn(
-            f"checkpoint {path} {exc}; discarding it and starting a fresh journal",
-            stacklevel=3,
-        )
-        cells, end = {}, 0
-    if end:
-        os.truncate(path, end)
-        return cells, open(path, "a", encoding="utf-8")
-    journal = open(path, "w", encoding="utf-8")
+        try:
+            cells, end = _read_journal(path, header, units)
+        except ValueError as exc:
+            warnings.warn(
+                f"checkpoint {path} {exc}; discarding it and starting a fresh journal",
+                stacklevel=3,
+            )
+            cells, end = {}, 0
+        if end:
+            os.truncate(path, end)
+            return cells, open(path, "a", encoding="utf-8")
+        journal = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputDataError(f"cannot use checkpoint {path}: {exc.strerror or exc}") from exc
     journal.write(json.dumps(header) + "\n")
     journal.flush()
     return {}, journal
@@ -835,7 +804,8 @@ def direct_search(
     whose first line records the box and bit bound, and a rerun skips
     the cells already journaled.  A torn last line is cut off; a file
     that is not a journal of this box and bit bound is discarded with a
-    UserWarning.
+    UserWarning; a path that cannot be read or written raises
+    InputDataError.
     """
     if bounds is None:
         bounds = SearchBounds()

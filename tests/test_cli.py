@@ -261,6 +261,18 @@ class TestSearchDirect:
                           "--format", "json-lines", "--checkpoint", str(journal))
         assert again == base
 
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unusable_checkpoint_path_is_an_input_error(self, capsys, tmp_path, where):
+        path = tmp_path if where == "directory" else tmp_path / "absent" / "run.jsonl"
+        code, out, err = run(capsys, "search", "direct", "--g-max", "3", "--a1-max", "2",
+                             "--b1-max", "5", "--exp-max", "2", "--checkpoint", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: cannot use checkpoint {path}: " + (
+            "Is a directory" if where == "directory" else "No such file or directory"
+        )]
+        assert not (tmp_path / "absent").exists()
+
     def test_discarded_checkpoint_warns_on_stderr(self, capsys, tmp_path):
         _, base, _ = run(capsys, "search", "direct", *TINY_BOX, "--format", "json-lines")
         journal = tmp_path / "journal.jsonl"

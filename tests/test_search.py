@@ -1,8 +1,9 @@
-"""Tests for equation ingestion, shape pairing, and the anomalous-pair search."""
+"""Tests for equation ingestion, identity pairing, and the anomalous-pair search."""
 
 import json
 import math
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,8 +19,7 @@ import exptriple.search as search_module
 from exptriple.search import (
     OVERSIZE_BITS,
     EquationRecord,
-    Shape53,
-    Shape54,
+    Identity,
     SolvedSystem,
     _search_unit,
     decompose,
@@ -42,10 +42,6 @@ class TestMakeEquation:
         rec = make_equation(16, 3, 19)
         assert (rec.A, rec.B, rec.C) == (16, 3, 19)
         assert rec.fa.value == 16 and rec.fb.value == 3
-
-    def test_swapped(self):
-        rec = make_equation(16, 3, 19).swapped()
-        assert (rec.A, rec.B, rec.C) == (3, 16, 19)
 
     def test_str(self):
         assert str(make_equation(16, 3, 19)) == "16 + 3 = 19"
@@ -197,81 +193,132 @@ class TestGeneratorMatchesQuadraticScan:
 
 
 # ---------------------------------------------------------------------------
-# decomposition into shapes
+# decomposition into identities
 # ---------------------------------------------------------------------------
+
+
+def _terms(identity):
+    """The carried term, the other term and c1^z of an identity."""
+    a_term = 1 if identity.x is None else identity.a1**identity.x
+    b_term = identity.b1**identity.y
+    carried = identity.g**identity.w
+    if identity.carrier == "a":
+        return carried * a_term, b_term, identity.c1**identity.z
+    return carried * b_term, a_term, identity.c1**identity.z
+
+
+def _mirror(identity):
+    """The identity with its carried term moved to the other slot."""
+    s = identity
+    return Identity(
+        "b" if s.carrier == "a" else "a", s.g, s.w,
+        s.b1, None if s.b1 == 1 else s.y, s.a1, 1 if s.x is None else s.x, s.c1, s.z,
+    )
 
 
 class TestDecompose:
     def test_left_prime_power_carrier(self):
-        shapes = decompose(make_equation(16, 3, 19), "left")
-        assert [str(s) for s in shapes] == ["2^4 + 3^1 = 19^1"]
+        identities = decompose(make_equation(16, 3, 19))
+        assert sorted(str(s) for s in identities) == [
+            "16^1 + 3^1 * 1^1 = 19^1",
+            "2^4 + 3^1 * 1^1 = 19^1",
+            "2^4 + 3^1 = 19^1",
+            "3^1 + 16^1 = 19^1",
+            "3^1 + 2^4 * 1^1 = 19^1",
+            "3^1 + 2^4 = 19^1",
+            "3^1 + 4^2 = 19^1",
+            "4^2 + 3^1 * 1^1 = 19^1",
+        ]
+        lefts = [str(s) for s in identities if s.carrier == "a" and s.g == 2]
+        assert lefts == ["2^4 + 3^1 = 19^1"]
 
     def test_right_composite_carrier(self):
-        shapes = decompose(make_equation(1, 18, 19), "right")
-        rendered = {str(s) for s in shapes}
+        identities = decompose(make_equation(1, 18, 19))
+        rendered = {str(s) for s in identities if s.carrier == "b"}
         assert "1 + 2^1 * 3^2 = 19^1" in rendered
-        assert len(shapes) == 4
+        assert len(rendered) == 4
 
     def test_right_power_interplay(self):
-        rendered = {str(s) for s in decompose(make_equation(1, 8, 9), "right")}
+        rendered = {str(s) for s in decompose(make_equation(1, 8, 9))}
         assert "1 + 2^3 * 1^1 = 3^2" in rendered
 
     def test_unit_carrier_gives_nothing(self):
-        assert decompose(make_equation(1, 2, 3), "left") == []
+        assert decompose(make_equation(1, 1, 2)) == []
 
-    def test_bad_side(self):
-        with pytest.raises(ValueError, match="side"):
-            decompose(make_equation(16, 3, 19), "middle")
+    def test_only_the_non_unit_term_carries(self):
+        identities = decompose(make_equation(8, 1, 9))
+        assert sorted(str(s) for s in identities) == [
+            "1 + 2^3 * 1^1 = 3^2",
+            "1 + 2^3 * 1^1 = 9^1",
+            "2^3 + 1^1 = 3^2",
+            "2^3 + 1^1 = 9^1",
+        ]
+        assert all(_terms(s)[:2] == (8, 1) for s in identities)
+        assert {s.carrier for s in identities} == {"a", "b"}
 
     def test_field_assignment(self):
-        (shape,) = decompose(make_equation(16, 3, 19), "left")
-        assert isinstance(shape, Shape53)
-        assert (shape.g, shape.w1, shape.a1, shape.b1, shape.c1) == (
+        (shape,) = [
+            s for s in decompose(make_equation(16, 3, 19)) if s.carrier == "a" and s.g == 2
+        ]
+        assert isinstance(shape, Identity)
+        assert (shape.g, shape.w, shape.a1, shape.b1, shape.c1) == (
             2,
             4,
             1,
             3,
             19,
         )
-        assert shape.x1 is None
+        assert shape.x is None
 
     def test_every_shape_checks_out(self):
         for rec in generate_equations(30, 500):
-            for variant in (rec, rec.swapped()):
-                for shape in decompose(variant, "left"):
-                    assert shape.left_value() + shape.b1 ** shape.y1 == (
-                        shape.c1 ** shape.z1
-                    )
-                for shape in decompose(variant, "right"):
-                    base = shape.a1 ** shape.x2 if shape.x2 else 1
-                    assert base + (
-                        shape.g ** shape.w2 * shape.b1 ** shape.y2
-                    ) == shape.c1 ** shape.z2
+            identities = decompose(rec)
+            for identity in identities:
+                carried, other, c_term = _terms(identity)
+                assert carried + other == c_term == rec.C
+                assert {carried, other} == {rec.A, rec.B}
+            # each combination comes in both slots
+            assert Counter(identities) == Counter(map(_mirror, identities))
 
 
 class TestShapeValidation:
+    def test_carrier_must_name_a_term(self):
+        with pytest.raises(ValueError, match="carrier"):
+            Identity("c", 2, 4, 1, None, 3, 1, 19, 1)
+
     def test_marker_required_for_unit_base(self):
         with pytest.raises(ValueError):
-            Shape53(2, 4, 1, 1, 3, 1, 19, 1)
+            Identity("a", 2, 4, 1, 1, 3, 1, 19, 1)
 
     def test_marker_forbidden_for_real_base(self):
         with pytest.raises(ValueError):
-            Shape53(2, 1, 3, None, 5, 1, 11, 1)
+            Identity("a", 2, 1, 3, None, 5, 1, 11, 1)
 
     def test_identity_must_hold(self):
         with pytest.raises(ValueError, match="does not hold"):
-            Shape53(2, 4, 1, None, 3, 1, 23, 1)
+            Identity("a", 2, 4, 1, None, 3, 1, 23, 1)
         with pytest.raises(ValueError, match="does not hold"):
-            Shape54(1, None, 2, 1, 3, 2, 23, 1)
+            Identity("b", 2, 1, 1, None, 3, 2, 23, 1)
 
     def test_coprimality(self):
         with pytest.raises(ValueError, match="share the factor"):
-            Shape53(2, 1, 3, 2, 9, 1, 27, 1)
+            Identity("a", 2, 1, 3, 2, 9, 1, 27, 1)
+        with pytest.raises(ValueError, match="g and b1 share the factor 2"):
+            Identity("b", 2, 1, 3, 1, 4, 1, 11, 1)
+
+    def test_nonpositive_exponent(self):
+        with pytest.raises(ValueError, match="exponent w must be positive"):
+            Identity("b", 2, 0, 1, None, 3, 1, 7, 1)
 
     def test_unit_second_base_keeps_literal_exponent(self):
-        shape = Shape53(2, 3, 3, 1, 1, 1, 5, 2)
-        assert shape.b1 == 1 and shape.y1 == 1
+        shape = Identity("a", 2, 3, 3, 1, 1, 1, 5, 2)
+        assert shape.b1 == 1 and shape.y == 1
         assert str(shape) == "2^3 * 3^1 + 1^1 = 5^2"
+
+    def test_each_carrier_renders_its_own_side(self):
+        assert str(Identity("a", 3, 2, 2, 3, 5, 1, 77, 1)) == "3^2 * 2^3 + 5^1 = 77^1"
+        assert str(Identity("b", 3, 1, 2, 1, 5, 2, 77, 1)) == "2^1 + 3^1 * 5^2 = 77^1"
+        assert str(Identity("b", 2, 1, 1, None, 3, 2, 19, 1)) == "1 + 2^1 * 3^2 = 19^1"
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +326,8 @@ class TestShapeValidation:
 # ---------------------------------------------------------------------------
 
 
-def _pair(s53, s54):
-    system, reason = pair_and_solve(s53, s54)
+def _pair(left, right):
+    system, reason = pair_and_solve(left, right)
     assert reason is None, reason
     return system
 
@@ -289,82 +336,97 @@ class TestPairAndSolve:
     def test_unit_left_base(self):
         # reconstructs a = 2, b = 6, c = 38
         system = _pair(
-            Shape53(2, 4, 1, None, 3, 1, 19, 1),
-            Shape54(1, None, 2, 1, 3, 2, 19, 1),
+            Identity("a", 2, 4, 1, None, 3, 1, 19, 1),
+            Identity("b", 2, 1, 1, None, 3, 2, 19, 1),
         )
         assert system == SolvedSystem(alpha=1, beta=1, gamma=1, x1=5, x2=1)
 
     def test_unit_left_base_higher_power(self):
         # reconstructs a = 3, b = 6, c = 15
         system = _pair(
-            Shape53(3, 1, 1, None, 2, 1, 5, 1),
-            Shape54(1, None, 3, 1, 2, 3, 5, 2),
+            Identity("a", 3, 1, 1, None, 2, 1, 5, 1),
+            Identity("b", 3, 1, 1, None, 2, 3, 5, 2),
         )
         assert system == SolvedSystem(alpha=1, beta=1, gamma=1, x1=2, x2=2)
 
     def test_real_left_base(self):
         # reconstructs a = 6, b = 15, c = 231
         system = _pair(
-            Shape53(3, 2, 2, 3, 5, 1, 77, 1),
-            Shape54(2, 1, 3, 1, 5, 2, 77, 1),
+            Identity("a", 3, 2, 2, 3, 5, 1, 77, 1),
+            Identity("b", 3, 1, 2, 1, 5, 2, 77, 1),
         )
         assert system == SolvedSystem(alpha=1, beta=1, gamma=1, x1=3, x2=1)
 
     def test_beta_above_one(self):
         # reconstructs a = 2, b = 88, c = 6
         system = _pair(
-            Shape53(2, 4, 1, None, 11, 1, 3, 3),
-            Shape54(1, None, 2, 1, 11, 2, 3, 5),
+            Identity("a", 2, 4, 1, None, 11, 1, 3, 3),
+            Identity("b", 2, 1, 1, None, 11, 2, 3, 5),
         )
         assert system == SolvedSystem(alpha=1, beta=3, gamma=1, x1=7, x2=5)
 
     def test_degenerate_denominator(self):
         system, reason = pair_and_solve(
-            Shape53(2, 3, 3, 1, 1, 1, 5, 2),
-            Shape54(3, 2, 2, 4, 1, 1, 5, 2),
+            Identity("a", 2, 3, 3, 1, 1, 1, 5, 2),
+            Identity("b", 2, 4, 3, 2, 1, 1, 5, 2),
         )
         assert system is None and reason == "degenerate-denominator"
 
     def test_nonpositive_gamma(self):
         system, reason = pair_and_solve(
-            Shape53(2, 1, 1, None, 3, 1, 5, 1),
-            Shape54(1, None, 2, 3, 3, 1, 5, 2),
+            Identity("a", 2, 1, 1, None, 3, 1, 5, 1),
+            Identity("b", 2, 3, 1, None, 3, 1, 5, 2),
         )
         assert system is None and reason == "nonpositive-gamma"
 
     def test_non_integral_gamma(self):
         system, reason = pair_and_solve(
-            Shape53(5, 2, 1, None, 2, 1, 3, 3),
-            Shape54(1, None, 5, 1, 2, 4, 3, 4),
+            Identity("a", 5, 2, 1, None, 2, 1, 3, 3),
+            Identity("b", 5, 1, 1, None, 2, 4, 3, 4),
         )
         assert system is None and reason == "non-integral-gamma"
 
     def test_non_integral_beta(self):
         system, reason = pair_and_solve(
-            Shape53(2, 5, 7, 2, 5, 2, 1593, 1),
-            Shape54(7, 3, 2, 1, 5, 4, 1593, 1),
+            Identity("a", 2, 5, 7, 2, 5, 2, 1593, 1),
+            Identity("b", 2, 1, 7, 3, 5, 4, 1593, 1),
         )
         assert system is None and reason == "non-integral-beta"
 
     def test_gamma_mismatch(self):
         system, reason = pair_and_solve(
-            Shape53(2, 1, 3, 3, 5, 1, 59, 1),
-            Shape54(3, 2, 2, 1, 5, 2, 59, 1),
+            Identity("a", 2, 1, 3, 3, 5, 1, 59, 1),
+            Identity("b", 2, 1, 3, 2, 5, 2, 59, 1),
         )
         assert system is None and reason == "gamma-mismatch"
 
     def test_key_mismatch(self):
         with pytest.raises(ValueError, match="share"):
             pair_and_solve(
-                Shape53(2, 4, 1, None, 3, 1, 19, 1),
-                Shape54(1, None, 2, 1, 11, 2, 3, 5),
+                Identity("a", 2, 4, 1, None, 3, 1, 19, 1),
+                Identity("b", 2, 1, 1, None, 11, 2, 3, 5),
             )
+
+    def test_same_carrier_rejected(self):
+        left = Identity("a", 2, 4, 1, None, 3, 1, 19, 1)
+        right = Identity("b", 2, 1, 1, None, 3, 2, 19, 1)
+        with pytest.raises(ValueError, match="carrier 'a' then carrier 'b'"):
+            pair_and_solve(left, left)
+        with pytest.raises(ValueError, match="carrier 'a' then carrier 'b'"):
+            pair_and_solve(right, right)
+
+    def test_swapped_argument_order_rejected(self):
+        left = Identity("a", 2, 4, 1, None, 3, 1, 19, 1)
+        right = Identity("b", 2, 1, 1, None, 3, 2, 19, 1)
+        assert pair_and_solve(left, right)[0] is not None
+        with pytest.raises(ValueError, match="got 'b' then 'a'"):
+            pair_and_solve(right, left)
 
     def test_pure_power_pair_rejected(self):
         with pytest.raises(ValueError, match="carries no content"):
             pair_and_solve(
-                Shape53(2, 1, 1, None, 1, 1, 3, 1),
-                Shape54(1, None, 2, 3, 1, 1, 3, 2),
+                Identity("a", 2, 1, 1, None, 1, 1, 3, 1),
+                Identity("b", 2, 3, 1, None, 1, 1, 3, 2),
             )
 
 
@@ -382,14 +444,14 @@ class TestSolvedSystem:
 
 
 class TestReconstruct:
-    def _verify(self, s53, s54, max_bits=128):
-        system = _pair(s53, s54)
-        return reconstruct_and_verify(s53, s54, system, max_bits)
+    def _verify(self, left, right, max_bits=128):
+        system = _pair(left, right)
+        return reconstruct_and_verify(left, right, system, max_bits)
 
     def test_two_six_thirtyeight(self):
         result = self._verify(
-            Shape53(2, 4, 1, None, 3, 1, 19, 1),
-            Shape54(1, None, 2, 1, 3, 2, 19, 1),
+            Identity("a", 2, 4, 1, None, 3, 1, 19, 1),
+            Identity("b", 2, 1, 1, None, 3, 2, 19, 1),
         )
         assert result.bases == (2, 6, 38)
         assert result.reason is None
@@ -400,8 +462,8 @@ class TestReconstruct:
 
     def test_three_six_fifteen(self):
         result = self._verify(
-            Shape53(3, 1, 1, None, 2, 1, 5, 1),
-            Shape54(1, None, 3, 1, 2, 3, 5, 2),
+            Identity("a", 3, 1, 1, None, 2, 1, 5, 1),
+            Identity("b", 3, 1, 1, None, 2, 3, 5, 2),
         )
         assert result.bases == (3, 6, 15)
         assert result.reason is None
@@ -412,24 +474,24 @@ class TestReconstruct:
     def test_small_bit_budget_is_extended(self):
         # the verification bound grows to cover the reconstructed terms
         result = self._verify(
-            Shape53(2, 4, 1, None, 11, 1, 3, 3),
-            Shape54(1, None, 2, 1, 11, 2, 3, 5),
+            Identity("a", 2, 4, 1, None, 11, 1, 3, 3),
+            Identity("b", 2, 1, 1, None, 11, 2, 3, 5),
             max_bits=8,
         )
         assert result.bases == (2, 88, 6)
         assert result.reason is None
 
     # the (3, 6, 15) pair; its larger solution has c^z = 15^2, 4 * 2 = 8 bits
-    S53_15 = Shape53(3, 1, 1, None, 2, 1, 5, 1)
-    S54_15 = Shape54(1, None, 3, 1, 2, 3, 5, 2)
+    LEFT_15 = Identity("a", 3, 1, 1, None, 2, 1, 5, 1)
+    RIGHT_15 = Identity("b", 3, 1, 1, None, 2, 3, 5, 2)
 
     def test_candidate_at_the_size_limit_is_verified(self, monkeypatch):
         monkeypatch.setattr(search_module, "OVERSIZE_BITS", 8)
-        result = self._verify(self.S53_15, self.S54_15)
+        result = self._verify(self.LEFT_15, self.RIGHT_15)
         assert result.reason is None
         assert result.verdict.kind == "anomalous"
         monkeypatch.setattr(search_module, "OVERSIZE_BITS", 7)
-        assert self._verify(self.S53_15, self.S54_15).reason == "oversize"
+        assert self._verify(self.LEFT_15, self.RIGHT_15).reason == "oversize"
 
     def test_candidate_above_the_size_limit_is_oversize(self):
         # gamma scales c = 3^gamma * 5; take the first gamma whose c^2
@@ -442,18 +504,18 @@ class TestReconstruct:
         while size(gamma) <= OVERSIZE_BITS:
             gamma += 1
         system = SolvedSystem(alpha=1, beta=1, gamma=gamma, x1=1, x2=2)
-        result = reconstruct_and_verify(self.S53_15, self.S54_15, system, 128)
+        result = reconstruct_and_verify(self.LEFT_15, self.RIGHT_15, system, 128)
         assert result.reason == "oversize"
         assert result.bases[2] == 3**gamma * 5
 
     def test_inconsistent_system_with_huge_bases_raises_invariant_error(self):
         # c = 2^190000 * 19 has about 57,000 digits, far more than str()
         # converts, yet fits the size limit since both solutions have z = 1
-        s53 = Shape53(2, 4, 1, None, 3, 1, 19, 1)
-        s54 = Shape54(1, None, 2, 1, 3, 2, 19, 1)
+        left = Identity("a", 2, 4, 1, None, 3, 1, 19, 1)
+        right = Identity("b", 2, 1, 1, None, 3, 2, 19, 1)
         system = SolvedSystem(alpha=1, beta=1, gamma=190_000, x1=5, x2=1)
         with pytest.raises(InternalInvariantError) as info:
-            reconstruct_and_verify(s53, s54, system, 128)
+            reconstruct_and_verify(left, right, system, 128)
         message = str(info.value)
         assert "(5, 1, 1)" in message
         assert "g^190000 * 19" in message
@@ -516,6 +578,21 @@ class TestRunPipeline:
         ]
         assert [n.as_tuple() for n in outcome.anomalous] == sorted(want)
         assert outcome.family == ()
+        assert outcome.stats == {
+            "records": 354,
+            "shapes_53": 3153,
+            "shapes_54": 3153,
+            "pairs_skipped": 136,
+            "pair_keys": 276,
+            "pairs": 330,
+            "systems": 7,
+            "reason:nonpositive-gamma": 181,
+            "reason:degenerate-denominator": 124,
+            "reason:non-integral-gamma": 17,
+            "reason:gamma-mismatch": 1,
+            "anomalous": 6,
+            "family": 0,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -779,13 +856,13 @@ def _bucket_scan(g, a1, bounds, max_bits):
     rows = set()
     for b1, c1 in bucket53.keys() & bucket54.keys():
         for w1, x1, y1, z1 in bucket53[(b1, c1)]:
-            s53 = Shape53(g, w1, a1, x1, b1, y1, c1, z1)
+            left = Identity("a", g, w1, a1, x1, b1, y1, c1, z1)
             for x2, w2, y2, z2 in bucket54[(b1, c1)]:
-                s54 = Shape54(a1, x2, g, w2, b1, y2, c1, z2)
-                system, _ = pair_and_solve(s53, s54)
+                right = Identity("b", g, w2, a1, x2, b1, y2, c1, z2)
+                system, _ = pair_and_solve(left, right)
                 if system is None:
                     continue
-                result = reconstruct_and_verify(s53, s54, system, max_bits)
+                result = reconstruct_and_verify(left, right, system, max_bits)
                 if result.verdict is not None and result.verdict.kind == "anomalous":
                     rows.add(result.nine.as_tuple())
     return sorted(rows)
