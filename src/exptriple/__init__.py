@@ -27,18 +27,7 @@ from .arith import (
     valuation,
 )
 from .catalog import KNOWN_ANOMALOUS, SEARCHED_RADICAL_BOUND, is_known_anomalous
-from .classify import (
-    DominanceViolation,
-    PrimeType,
-    TypeAData,
-    TypeCData,
-    TypeProfile,
-    dominance_screen,
-    type_a_data,
-    type_c_data,
-    type_o_census,
-    type_profile,
-)
+from .classify import PrimeType, TypeProfile, type_profile
 from .config import OUTPUT_FORMATS, RunConfig, SearchBounds, load_config
 from .errors import (
     FamilyConstraintError,
@@ -87,13 +76,12 @@ from .solve import (
     power_of_two_solutions,
     term_multiset,
 )
-from .triple import GDecomposition, Triple, build_triple, g_decomposition, maximal_proportional_classes
+from .triple import GDecomposition, Triple, build_triple, g_decomposition
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Classification",
-    "DominanceViolation",
     "EquationRecord",
     "FAMILY_TAGS",
     "Factored",
@@ -119,8 +107,6 @@ __all__ = [
     "SolvedSystem",
     "SpecialShape",
     "Triple",
-    "TypeAData",
-    "TypeCData",
     "TypeProfile",
     "UsageError",
     "as_power_of",
@@ -132,7 +118,6 @@ __all__ = [
     "decompose",
     "detect_special_case",
     "direct_search",
-    "dominance_screen",
     "enumerate_solutions",
     "factorize",
     "g_decomposition",
@@ -150,7 +135,6 @@ __all__ = [
     "make_equation",
     "make_nine_tuple",
     "make_solution",
-    "maximal_proportional_classes",
     "pair_and_solve",
     "power_of_two_solutions",
     "power_representations",
@@ -163,9 +147,6 @@ __all__ = [
     "term_multiset",
     "two_adic",
     "two_adic_profile",
-    "type_a_data",
-    "type_c_data",
-    "type_o_census",
     "type_profile",
     "valuation",
 ]

@@ -1,4 +1,4 @@
-"""Per-prime classification of solutions and the reduced-equation data.
+"""Per-prime classification of solutions.
 
 For a shared prime p, a solution falls into one of four shapes according
 to which of the three valuations alpha*x, beta*y, gamma*z stands alone:
@@ -6,16 +6,15 @@ tag A when the a-term dominates, B when the b-term does, C when the
 c-term does, O when all three agree.  The two smallest always agree for a
 genuine solution; anything else is a hard invariant failure.
 
-Dividing the equation by the greatest common divisor of its three terms
-turns a Type-A solution into R^n - S^n = (small residual) and a Type-C
-solution into R^n + S^n = (small residual), with R and S coprime.  Those
-reduced forms are what the descent arguments consume, so this module
-computes them exactly and re-verifies the defining identities.
+The enumerate command prints the tags, and the search keeps a pair of
+solutions only when one is Type A and the other Type B at every shared
+prime.  The paper restricts the tags further: a prime carries at most one
+Type-O solution, a prime that dominates another forces Type A, and a
+prime carrying a Type-C solution carries nothing else.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError
@@ -78,217 +77,3 @@ def type_profile(t: Triple, s: Solution) -> TypeProfile:
         by_prime[p] = PrimeType(p, tag, compared)
     return TypeProfile(t, s, by_prime)
 
-
-@dataclass(frozen=True)
-class TypeAData:
-    """Reduced data of a solution that is Type A at the prime p.
-
-    y = level * y_step and z = level * z_step.  Over the shared primes,
-    set_b collects those leaning to the b side, set_c to the c side and
-    set_a the balanced ones.  After dividing the equation by
-    common_divisor, the c term is c_side_base**level, the b term is
-    b_side_base**level, and their difference f_value equals residual,
-    the a-term leftover a1^x * prod over set_a.
-    """
-
-    p: int
-    y_step: int
-    z_step: int
-    level: int
-    set_a: frozenset[int]
-    set_b: frozenset[int]
-    set_c: frozenset[int]
-    c_side_base: int
-    b_side_base: int
-    common_divisor: int
-    f_value: int
-    residual: int
-
-
-def type_a_data(t: Triple, p: int, s: Solution) -> TypeAData:
-    """Compute the reduced R^n - S^n form at a prime where s is Type A."""
-    profile = type_profile(t, s)
-    if profile.tag(p) != "A":
-        raise ValueError(f"solution {s} is Type {profile.tag(p)} at {p}, not Type A")
-    _, eb, ec = t.exponents[p]
-    d0 = math.gcd(eb, ec)
-    z_step, y_step = eb // d0, ec // d0
-    if s.y % y_step or s.z != s.y // y_step * z_step:
-        raise InternalInvariantError(
-            f"(y, z) = {(s.y, s.z)} is not a multiple of the step pair "
-            f"{(y_step, z_step)} at prime {p}"
-        )
-    level = s.y // y_step
-    set_a, set_b, set_c = set(), set(), set()
-    for q in t.common_primes:
-        _, fb, fc = t.exponents[q]
-        lhs, rhs = fb * y_step, fc * z_step
-        (set_b if lhs > rhs else set_c if lhs < rhs else set_a).add(q)
-    r_base = t.c1**z_step * math.prod(
-        q ** (t.exponents[q][2] * z_step - t.exponents[q][1] * y_step) for q in set_c
-    )
-    s_base = t.b1**y_step * math.prod(
-        q ** (t.exponents[q][1] * y_step - t.exponents[q][2] * z_step) for q in set_b
-    )
-    divisor = math.prod(
-        q ** (level * min(t.exponents[q][1] * y_step, t.exponents[q][2] * z_step))
-        for q in t.common_primes
-    )
-    f_value = r_base**level - s_base**level
-    residual = t.a1**s.x * math.prod(
-        q ** (t.exponents[q][0] * s.x - t.exponents[q][2] * level * z_step)
-        for q in set_a
-    )
-    if f_value != residual:
-        raise InternalInvariantError(
-            f"reduced difference {f_value} disagrees with the a-term leftover {residual}"
-        )
-    return TypeAData(
-        p,
-        y_step,
-        z_step,
-        level,
-        frozenset(set_a),
-        frozenset(set_b),
-        frozenset(set_c),
-        r_base,
-        s_base,
-        divisor,
-        f_value,
-        residual,
-    )
-
-
-@dataclass(frozen=True)
-class TypeCData:
-    """Reduced data of a solution that is Type C at the prime p.
-
-    x = level * x_step and y = level * y_step.  After dividing by
-    common_divisor the a term is a_side_base**level, the b term is
-    b_side_base**level, and their sum f_value equals residual, the c-term
-    leftover c1^z * prod over set_c.
-    """
-
-    p: int
-    x_step: int
-    y_step: int
-    level: int
-    set_a: frozenset[int]
-    set_b: frozenset[int]
-    set_c: frozenset[int]
-    a_side_base: int
-    b_side_base: int
-    common_divisor: int
-    f_value: int
-    residual: int
-
-
-def type_c_data(t: Triple, p: int, s: Solution) -> TypeCData:
-    """Compute the reduced R^n + S^n form at a prime where s is Type C."""
-    profile = type_profile(t, s)
-    if profile.tag(p) != "C":
-        raise ValueError(f"solution {s} is Type {profile.tag(p)} at {p}, not Type C")
-    ea, eb, _ = t.exponents[p]
-    d0 = math.gcd(ea, eb)
-    x_step, y_step = eb // d0, ea // d0
-    if s.x % x_step or s.y != s.x // x_step * y_step:
-        raise InternalInvariantError(
-            f"(x, y) = {(s.x, s.y)} is not a multiple of the step pair "
-            f"{(x_step, y_step)} at prime {p}"
-        )
-    level = s.x // x_step
-    set_a, set_b, set_c = set(), set(), set()
-    for q in t.common_primes:
-        fa, fb, _ = t.exponents[q]
-        lhs, rhs = fa * x_step, fb * y_step
-        (set_a if lhs > rhs else set_b if lhs < rhs else set_c).add(q)
-    r_base = t.a1**x_step * math.prod(
-        q ** (t.exponents[q][0] * x_step - t.exponents[q][1] * y_step) for q in set_a
-    )
-    s_base = t.b1**y_step * math.prod(
-        q ** (t.exponents[q][1] * y_step - t.exponents[q][0] * x_step) for q in set_b
-    )
-    divisor = math.prod(
-        q ** (level * min(t.exponents[q][0] * x_step, t.exponents[q][1] * y_step))
-        for q in t.common_primes
-    )
-    f_value = r_base**level + s_base**level
-    residual = t.c1**s.z * math.prod(
-        q ** (t.exponents[q][2] * s.z - t.exponents[q][0] * level * x_step)
-        for q in set_c
-    )
-    if f_value != residual:
-        raise InternalInvariantError(
-            f"reduced sum {f_value} disagrees with the c-term leftover {residual}"
-        )
-    return TypeCData(
-        p,
-        x_step,
-        y_step,
-        level,
-        frozenset(set_a),
-        frozenset(set_b),
-        frozenset(set_c),
-        r_base,
-        s_base,
-        divisor,
-        f_value,
-        residual,
-    )
-
-
-@dataclass(frozen=True)
-class DominanceViolation:
-    """A solution tagged B, C or O at a prime that dominates another."""
-
-    p: int
-    q: int
-    solution: Solution
-    tag: str
-
-
-def dominance_screen(t: Triple, solutions: list[Solution]) -> list[DominanceViolation]:
-    """Flag solutions that contradict the dominant-prime restriction.
-
-    When a prime p outweighs another shared prime q in both the a/b and
-    a/c exponent ratios, every genuine solution must be Type A at p; any
-    solution leniently tagged B, C or O there is reported.  Real solution
-    sets always screen clean, so a nonempty result marks fabricated or
-    corrupted data.
-    """
-    dominating = set()
-    for p in t.common_primes:
-        ea_p, eb_p, ec_p = t.exponents[p]
-        for q in t.common_primes:
-            if p == q:
-                continue
-            ea_q, eb_q, ec_q = t.exponents[q]
-            if ea_p * eb_q > ea_q * eb_p and ea_p * ec_q > ea_q * ec_p:
-                dominating.add((p, q))
-    out = []
-    for s in solutions:
-        for p, q in sorted(dominating):
-            ea, eb, ec = t.exponents[p]
-            tag = _lenient_tag((ea * s.x, eb * s.y, ec * s.z))
-            if tag in ("B", "C", "O"):
-                out.append(DominanceViolation(p, q, s, tag))
-    return out
-
-
-def type_o_census(t: Triple, solutions: list[Solution]) -> dict[int, int]:
-    """Count the Type-O solutions at each shared prime.
-
-    No prime ever carries two Type-O solutions; a count above one raises
-    immediately instead of being returned.
-    """
-    counts = {p: 0 for p in t.common_primes}
-    for s in solutions:
-        profile = type_profile(t, s)
-        for p in t.common_primes:
-            if profile.tag(p) == "O":
-                counts[p] += 1
-                if counts[p] > 1:
-                    raise InternalInvariantError(
-                        f"two solutions of {t} are Type O at the prime {p}"
-                    )
-    return counts

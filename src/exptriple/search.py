@@ -37,12 +37,12 @@ from multiprocessing import Pool
 from typing import Iterable, TextIO
 
 from .arith import (
+    POWER_SIEVES,
     Factored,
     factorize,
     is_prime,
     perfect_powers,
     power_representations,
-    residue_table,
 )
 from .classify import type_profile
 from .config import RunConfig, SearchBounds
@@ -596,9 +596,10 @@ def run_pipeline(
 
 # Inline residue sieve in front of perfect_powers: a square is a square
 # residue modulo 64 and 63, a cube a cubic residue modulo 63 and a fifth
-# power a fifth-power residue modulo 121.
+# power a fifth-power residue modulo 121.  The tables are those of
+# arith.POWER_SIEVES, picked by modulus.
 _SQUARE64, _SQUARE63, _CUBE63, _FIFTH121 = (
-    residue_table(p, m) for p, m in ((2, 64), (2, 63), (3, 63), (5, 121))
+    dict(POWER_SIEVES[p])[m] for p, m in ((2, 64), (2, 63), (3, 63), (5, 121))
 )
 
 

@@ -83,13 +83,6 @@ class SolutionSet:
     def raw_count(self) -> int:
         return len(self.solutions)
 
-    @property
-    def swap_dedup_count(self) -> int:
-        """Solution count where (x,y,z) and (y,x,z) merge when a = b."""
-        if self.triple.a != self.triple.b:
-            return len(self.solutions)
-        return len({(tuple(sorted((s.x, s.y))), s.z) for s in self.solutions})
-
 
 def count_N(sset: SolutionSet) -> int:
     """The class count N for the enumerated triple."""

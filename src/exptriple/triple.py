@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
-from .arith import Factored, factorize
+from .arith import factorize
 from .errors import InternalInvariantError, ProportionalityError
 
 
@@ -21,18 +21,16 @@ from .errors import InternalInvariantError, ProportionalityError
 class Triple:
     """A validated base triple with its shared-prime decomposition.
 
-    common_primes holds every prime dividing all of a, b and c, sorted
-    ascending.  exponents maps each of those primes p to the exponent
-    triple (exponent in a, in b, in c).  a1, b1, c1 are the greatest
-    divisors of a, b, c not divisible by any common prime.
+    common_primes holds every prime dividing all of a, b and c, which are
+    the primes of gcd(a, b, c), sorted ascending.  exponents maps each of
+    those primes p to the exponent triple (exponent in a, in b, in c).
+    a1, b1, c1 are the greatest divisors of a, b, c not divisible by any
+    common prime.  The bases themselves are never factored.
     """
 
     a: int
     b: int
     c: int
-    fa: Factored
-    fb: Factored
-    fc: Factored
     common_primes: tuple[int, ...]
     exponents: dict[int, tuple[int, int, int]]
     a1: int
@@ -47,20 +45,33 @@ class Triple:
         return bool(self.common_primes)
 
 
+def _peel(n: int, p: int) -> tuple[int, int]:
+    """The exponent of p in n and the part of n that p does not divide."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e, n
+
+
 def build_triple(a: int, b: int, c: int) -> Triple:
-    """Factor the three bases and populate the shared-prime fields."""
+    """Populate the shared-prime fields from gcd(a, b, c).
+
+    Only gcd(a, b, c) is factored; each of its primes is then divided out
+    of a, b and c, which gives the exponent triples and a1, b1, c1.
+    """
     for name, v in (("a", a), ("b", b), ("c", c)):
         if v < 2:
             raise ValueError(f"base {name} must be at least 2, got {v}")
-    fa, fb, fc = factorize(a), factorize(b), factorize(c)
-    common = sorted(frozenset(fa.primes) & frozenset(fb.primes) & frozenset(fc.primes))
-    exponents = {p: (fa.exponent_of(p), fb.exponent_of(p), fc.exponent_of(p)) for p in common}
+    common = factorize(math.gcd(a, b, c)).primes
+    exponents = {}
     a1, b1, c1 = a, b, c
-    for p, (ea, eb, ec) in exponents.items():
-        a1 //= p**ea
-        b1 //= p**eb
-        c1 //= p**ec
-    return Triple(a, b, c, fa, fb, fc, tuple(common), exponents, a1, b1, c1)
+    for p in common:
+        ea, a1 = _peel(a1, p)
+        eb, b1 = _peel(b1, p)
+        ec, c1 = _peel(c1, p)
+        exponents[p] = (ea, eb, ec)
+    return Triple(a, b, c, common, exponents, a1, b1, c1)
 
 
 @dataclass(frozen=True)
@@ -120,17 +131,3 @@ def g_decomposition(t: Triple, subset: frozenset[int] | set[int]) -> GDecomposit
     residual = tuple((p, t.exponents[p]) for p in t.common_primes if p not in subset)
     return GDecomposition(primes, g, h, j, m, residual)
 
-
-def maximal_proportional_classes(t: Triple) -> list[frozenset[int]]:
-    """Partition the shared primes into maximal proportional classes.
-
-    Two primes land in the same class exactly when their exponent triples
-    are proportional, which is an equivalence because all exponents are
-    positive.  Classes are ordered by their smallest prime.
-    """
-    buckets: dict[tuple[int, int, int], list[int]] = {}
-    for p in t.common_primes:
-        ea, eb, ec = t.exponents[p]
-        d = math.gcd(ea, math.gcd(eb, ec))
-        buckets.setdefault((ea // d, eb // d, ec // d), []).append(p)
-    return sorted((frozenset(ps) for ps in buckets.values()), key=min)

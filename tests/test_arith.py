@@ -79,11 +79,6 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(-12)
 
-    def test_exponent_of(self):
-        f = factorize(360)
-        assert f.exponent_of(2) == 3
-        assert f.exponent_of(7) == 0
-
     @staticmethod
     def _count_calls(monkeypatch, name):
         calls = []

@@ -1,4 +1,4 @@
-"""Tests for per-prime solution classification and reduced-equation data."""
+"""Tests for per-prime solution classification."""
 
 from __future__ import annotations
 
@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exptriple.classify import (
-    dominance_screen,
-    type_a_data,
-    type_c_data,
-    type_o_census,
-    type_profile,
-)
+from exptriple.classify import type_profile
 from exptriple.errors import InternalInvariantError
 from exptriple.solve import Solution, enumerate_solutions, make_solution
 from exptriple.triple import build_triple
@@ -65,130 +59,11 @@ class TestTypeProfile:
                 assert profile.tag(p) in ("A", "B", "C", "O")
 
 
-class TestTypeAData:
-    def test_two_six_38(self):
-        t = build_triple(2, 6, 38)
-        d = type_a_data(t, 2, make_solution(t, 5, 1, 1))
-        assert (d.y_step, d.z_step, d.level) == (1, 1, 1)
-        assert (d.c_side_base, d.b_side_base) == (19, 3)
-        assert d.f_value == 16
-        assert d.residual == 16
-        assert d.common_divisor == 2
-
-    def test_two_six_ten_level_one(self):
-        t = build_triple(2, 6, 10)
-        d = type_a_data(t, 2, make_solution(t, 2, 1, 1))
-        assert (d.c_side_base, d.b_side_base) == (5, 3)
-        assert d.f_value == 2
-
-    def test_two_six_ten_level_two(self):
-        t = build_triple(2, 6, 10)
-        d = type_a_data(t, 2, make_solution(t, 6, 2, 2))
-        assert d.level == 2
-        assert d.f_value == 25 - 9 == 16
-        assert d.residual == 2**4
-
-    def test_sets_partition_shared_primes(self):
-        t = build_triple(30, 70, 4930)
-        d = type_a_data(t, 2, make_solution(t, 5, 2, 2))
-        assert d.set_a | d.set_b | d.set_c == set(t.common_primes)
-        assert d.set_a & d.set_b == set()
-
-    def test_rejects_wrong_type(self):
-        t = build_triple(3, 6, 15)
-        with pytest.raises(ValueError):
-            type_a_data(t, 3, make_solution(t, 2, 3, 2))
-        t2 = build_triple(7, 49, 98)
-        with pytest.raises(ValueError):
-            type_a_data(t2, 7, make_solution(t2, 2, 1, 1))
-
-    @given(
-        st.integers(min_value=2, max_value=60),
-        st.integers(min_value=2, max_value=60),
-        st.integers(min_value=2, max_value=60),
-    )
-    @settings(max_examples=250, deadline=None)
-    def test_identity_recomposes_a_power(self, a, b, c):
-        t = build_triple(a, b, c)
-        if not t.common_primes:
-            return
-        for s in enumerate_solutions(t, 48).solutions:
-            profile = type_profile(t, s)
-            for p in t.common_primes:
-                if profile.tag(p) != "A":
-                    continue
-                d = type_a_data(t, p, s)
-                assert d.f_value * d.common_divisor == a**s.x
-                assert d.c_side_base**d.level * d.common_divisor == c**s.z
-                assert d.b_side_base**d.level * d.common_divisor == b**s.y
-
-
-class TestTypeCData:
-    def test_family_two_instance(self):
-        t = build_triple(6, 3, 3)
-        d = type_c_data(t, 3, make_solution(t, 1, 1, 2))
-        assert (d.x_step, d.y_step, d.level) == (1, 1, 1)
-        assert (d.a_side_base, d.b_side_base) == (2, 1)
-        assert d.f_value == 3
-
-    def test_family_two_second_solution(self):
-        t = build_triple(6, 3, 3)
-        d = type_c_data(t, 3, make_solution(t, 3, 3, 5))
-        assert d.level == 3
-        assert d.f_value == 9
-        assert d.residual == 3 ** (5 - 3)
-
-    def test_weighted_steps(self):
-        t = build_triple(18, 3, 3)
-        d = type_c_data(t, 3, make_solution(t, 1, 2, 3))
-        assert (d.x_step, d.y_step) == (1, 2)
-        assert d.f_value == 3
-
-    def test_rejects_wrong_type(self):
-        t = build_triple(3, 6, 15)
-        with pytest.raises(ValueError):
-            type_c_data(t, 3, make_solution(t, 2, 1, 1))
-
-    @given(
-        st.integers(min_value=2, max_value=60),
-        st.integers(min_value=2, max_value=60),
-        st.integers(min_value=2, max_value=60),
-    )
-    @settings(max_examples=250, deadline=None)
-    def test_identity_recomposes_c_power(self, a, b, c):
-        t = build_triple(a, b, c)
-        if not t.common_primes:
-            return
-        for s in enumerate_solutions(t, 48).solutions:
-            profile = type_profile(t, s)
-            for p in t.common_primes:
-                if profile.tag(p) != "C":
-                    continue
-                d = type_c_data(t, p, s)
-                assert d.f_value * d.common_divisor == c**s.z
-                assert d.a_side_base**d.level * d.common_divisor == a**s.x
-                assert d.b_side_base**d.level * d.common_divisor == b**s.y
+def _type_o_counts(t, sols):
+    return {p: sum(type_profile(t, s).tag(p) == "O" for s in sols) for p in t.common_primes}
 
 
 class TestDominanceScreen:
-    def test_clean_singleton(self):
-        t = build_triple(3, 6, 15)
-        sols = list(enumerate_solutions(t, 64).solutions)
-        assert dominance_screen(t, sols) == []
-
-    def test_clean_two_primes(self):
-        t = build_triple(30, 70, 4930)
-        sols = list(enumerate_solutions(t, 64).solutions)
-        assert dominance_screen(t, sols) == []
-
-    def test_synthetic_violation_flagged(self):
-        # prime 2 dominates prime 3 in (12,18,36); a fabricated solution
-        # that is Type O at 2 must be flagged
-        t = build_triple(12, 18, 36)
-        hits = dominance_screen(t, [Solution(1, 2, 1)])
-        assert len(hits) == 1
-        assert (hits[0].p, hits[0].q, hits[0].tag) == (2, 3, "O")
-
     @given(
         st.integers(min_value=2, max_value=60),
         st.integers(min_value=2, max_value=60),
@@ -196,31 +71,27 @@ class TestDominanceScreen:
     )
     @settings(max_examples=250, deadline=None)
     def test_real_solution_sets_screen_clean(self, a, b, c):
+        # a prime p that outweighs another shared prime q in both the a/b
+        # and a/c exponent ratios makes every solution Type A at p
         t = build_triple(a, b, c)
-        sols = list(enumerate_solutions(t, 48).solutions)
-        assert dominance_screen(t, sols) == []
+        if not t.common_primes:
+            return
+        sols = enumerate_solutions(t, 48).solutions
+        for p in t.common_primes:
+            ea_p, eb_p, ec_p = t.exponents[p]
+            if any(
+                ea_p * eb_q > ea_q * eb_p and ea_p * ec_q > ea_q * ec_p
+                for q, (ea_q, eb_q, ec_q) in t.exponents.items()
+                if q != p
+            ):
+                assert all(type_profile(t, s).tag(p) == "A" for s in sols)
 
 
 class TestTypeOCensus:
     def test_known_counts(self):
-        t = build_triple(7, 49, 98)
-        sols = list(enumerate_solutions(t, 64).solutions)
-        assert type_o_census(t, sols) == {7: 1}
-
-        t = build_triple(3, 6, 15)
-        sols = list(enumerate_solutions(t, 64).solutions)
-        assert type_o_census(t, sols) == {3: 0}
-
-        t = build_triple(19, 38, 57)
-        sols = list(enumerate_solutions(t, 64).solutions)
-        assert type_o_census(t, sols) == {19: 1}
-
-    def test_double_type_o_raises(self):
-        # fabricated duplicates of a genuine Type-O solution
-        t = build_triple(7, 49, 98)
-        s = make_solution(t, 2, 1, 1)
-        with pytest.raises(InternalInvariantError):
-            type_o_census(t, [s, s])
+        for abc, counts in (((7, 49, 98), {7: 1}), ((3, 6, 15), {3: 0}), ((19, 38, 57), {19: 1})):
+            t = build_triple(*abc)
+            assert _type_o_counts(t, enumerate_solutions(t, 64).solutions) == counts
 
     @given(
         st.integers(min_value=2, max_value=60),
@@ -229,11 +100,11 @@ class TestTypeOCensus:
     )
     @settings(max_examples=250, deadline=None)
     def test_census_never_exceeds_one(self, a, b, c):
+        # no shared prime carries two Type-O solutions
         t = build_triple(a, b, c)
         if not t.common_primes:
             return
-        sols = list(enumerate_solutions(t, 48).solutions)
-        counts = type_o_census(t, sols)
+        counts = _type_o_counts(t, enumerate_solutions(t, 48).solutions)
         assert all(v <= 1 for v in counts.values())
 
 

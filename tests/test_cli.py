@@ -29,6 +29,14 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def subprocess_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+
+
 class TestEnumerate:
     def test_coprime_showcase_human(self, capsys):
         code, out, err = run(capsys, "enumerate", "3", "5", "2", "--max-bits", "64")
@@ -46,6 +54,21 @@ class TestEnumerate:
         assert "2 + 6^2 = 38    [types 2:B]" in out
         assert "2^5 + 6 = 38    [types 2:A]" in out
         assert "N = 2" in out
+
+    def test_hard_to_factor_c_sharing_no_prime(self):
+        # c = (2^61 - 1)(2^64 - 59) is coprime to 6 and 10, so nothing
+        # needs its factors; factoring it fully takes far longer than 10 s
+        c = (2**61 - 1) * (2**64 - 59)
+        argv = [sys.executable, "-m", "exptriple.cli", "enumerate", "6", "10", str(c)]
+        default = subprocess.run(argv, env=subprocess_env(), capture_output=True,
+                                 text=True, timeout=10)
+        assert default.returncode == 0
+        assert f"solutions of 6^x + 10^y = {c}^z below 2^" in default.stdout
+        assert default.stdout.splitlines()[0].endswith(": 0")
+        small = subprocess.run([*argv, "--max-bits", "64"], env=subprocess_env(),
+                               capture_output=True, text=True, timeout=10)
+        assert small.returncode == 0
+        assert f"warning: {c} does not fit below 2^64" in small.stderr
 
     def test_json_lines(self, capsys):
         code, out, _ = run(capsys, "enumerate", "3", "5", "2",
@@ -295,10 +318,7 @@ class TestSearchDirect:
         box = ["--g-max", "60", "--a1-max", "60", "--b1-max", "12", "--exp-max", "3"]
         argv = [sys.executable, "-m", "exptriple.cli", "search", "direct", *box,
                 "--format", "json-lines"]
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])
-        ))
+        env = subprocess_env()
         journal = tmp_path / "run.jsonl"
 
         victim = subprocess.Popen([*argv, "--checkpoint", str(journal)], env=env,

@@ -263,12 +263,10 @@ class TestCountN:
         sset = enumerate_solutions(build_triple(2, 2, 6), 64)
         assert sset.raw_count == 4
         assert count_N(sset) == 2
-        assert sset.swap_dedup_count == 2
 
     def test_swap_dedup_distinct_bases(self):
         sset = enumerate_solutions(build_triple(3, 6, 15), 64)
         assert sset.raw_count == 2
-        assert sset.swap_dedup_count == 2
         assert count_N(sset) == 2
 
     def test_class_members_share_terms(self):

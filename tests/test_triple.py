@@ -5,11 +5,35 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exptriple.errors import ProportionalityError
-from exptriple.triple import build_triple, g_decomposition, maximal_proportional_classes
+from exptriple.triple import build_triple, g_decomposition
+
+# 10,007, 100,000,007 and 2^61 - 1 lie above the trial-division table
+_POOL = (2, 3, 5, 7, 10_007, 100_000_007, 2**61 - 1)
+
+
+def _trial_factors(n):
+    """Exponent of every pool prime in n, by trial division over the pool."""
+    found = {}
+    for p in _POOL:
+        while n % p == 0:
+            n //= p
+            found[p] = found.get(p, 0) + 1
+    assert n == 1
+    return found
+
+
+def _pool_product(exps):
+    return math.prod(p**e for p, e in zip(_POOL, exps))
+
+
+# 2^61 - 1 divides each base at most once: factorize reaches a square of it
+# only through Brent's rho, which needs about 2^30 steps to split it
+_EXPS = st.tuples(*[st.integers(min_value=0, max_value=3)] * (len(_POOL) - 1),
+                  st.integers(min_value=0, max_value=1))
 
 
 class TestBuildTriple:
@@ -69,6 +93,28 @@ class TestBuildTriple:
         assert math.gcd(t.a1 * t.b1 * t.c1, shared) == 1
         assert all(e[0] >= 1 and e[1] >= 1 and e[2] >= 1 for e in t.exponents.values())
         assert list(t.common_primes) == sorted(t.common_primes)
+
+    @given(_EXPS, _EXPS, _EXPS)
+    @example((0, 1, 0, 0, 2, 0, 0), (0, 0, 1, 1, 2, 0, 0), (1, 0, 0, 0, 3, 0, 0))
+    @example((1, 0, 0, 0, 0, 1, 0), (1, 1, 0, 0, 0, 2, 0), (0, 0, 1, 0, 0, 1, 0))
+    @example((1, 0, 0, 0, 0, 1, 1), (1, 0, 0, 0, 0, 2, 0), (0, 0, 1, 0, 0, 1, 1))
+    @example((2, 1, 0, 0, 1, 3, 1), (1, 1, 0, 0, 1, 1, 1), (3, 0, 1, 0, 2, 2, 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_trial_division_reference(self, ea, eb, ec):
+        # the examples put every base above 10^8, the square of the trial
+        # limit; all share 10,007 or 100,000,007 with unequal exponents,
+        # and in the last three a prime divides exactly two bases
+        a, b, c = _pool_product(ea), _pool_product(eb), _pool_product(ec)
+        if min(a, b, c) < 2:
+            return
+        fa, fb, fc = _trial_factors(a), _trial_factors(b), _trial_factors(c)
+        common = sorted(fa.keys() & fb.keys() & fc.keys())
+        t = build_triple(a, b, c)
+        assert t.common_primes == tuple(common)
+        assert t.exponents == {p: (fa[p], fb[p], fc[p]) for p in common}
+        assert t.a1 == a // math.prod(p ** fa[p] for p in common)
+        assert t.b1 == b // math.prod(p ** fb[p] for p in common)
+        assert t.c1 == c // math.prod(p ** fc[p] for p in common)
 
 
 class TestGDecomposition:
@@ -147,23 +193,6 @@ class TestGDecomposition:
 
 
 class TestMaximalClasses:
-    def test_single_class(self):
-        t = build_triple(30, 70, 4930)
-        assert maximal_proportional_classes(t) == [frozenset({2, 5})]
-
-    def test_singleton(self):
-        t = build_triple(7, 49, 98)
-        assert maximal_proportional_classes(t) == [frozenset({7})]
-
-    def test_split_classes(self):
-        # directions (1,2,3) for 2 and (1,2,2) for 3
-        t = build_triple(2 * 3, 4 * 9, 8 * 9)
-        assert maximal_proportional_classes(t) == [frozenset({2}), frozenset({3})]
-
-    def test_empty_for_coprime(self):
-        t = build_triple(3, 5, 2)
-        assert maximal_proportional_classes(t) == []
-
     @given(
         st.integers(min_value=2, max_value=10**5),
         st.integers(min_value=2, max_value=10**5),
@@ -171,8 +200,13 @@ class TestMaximalClasses:
     )
     @settings(max_examples=200)
     def test_classes_partition_and_are_maximal(self, a, b, c):
+        # bucket the shared primes by primitive exponent direction
         t = build_triple(a, b, c)
-        classes = maximal_proportional_classes(t)
+        buckets: dict[tuple[int, int, int], set[int]] = {}
+        for p, (ea, eb, ec) in t.exponents.items():
+            d = math.gcd(ea, eb, ec)
+            buckets.setdefault((ea // d, eb // d, ec // d), set()).add(p)
+        classes = list(buckets.values())
         flat = sorted(p for cl in classes for p in cl)
         assert flat == list(t.common_primes)
         # every class decomposes cleanly
