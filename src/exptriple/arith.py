@@ -1,9 +1,9 @@
 """Exact integer arithmetic primitives.
 
-Factorization (trial division + Miller-Rabin + Brent's rho), valuations,
-perfect-power detection, and the order/valuation oracles used by the
-classification and search layers.  Everything works on plain Python ints,
-no floating point is ever trusted for a final answer.
+Factorization (trial division + Miller-Rabin + a perfect-power test +
+Brent's rho), valuations, perfect-power detection, and the order/valuation
+oracles used by the classification and search layers.  Everything works on
+plain Python ints, no floating point is ever trusted for a final answer.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ def factorize(n: int) -> Factored:
     Trial division below a fixed bound.  When it stops at a prime p with
     p*p above the cofactor, every smaller prime is divided out, so the
     cofactor is 1 or a prime and is recorded as it is.  A cofactor left
-    after the whole table is split by deterministic Miller-Rabin and
-    Brent's rho.  factorize(1) has no factors.
+    after the whole table is split by deterministic Miller-Rabin, a
+    perfect-power test and Brent's rho.  factorize(1) has no factors.
     """
     if n < 1:
         raise ValueError(f"factorize requires a positive integer, got {n}")
@@ -133,15 +133,22 @@ def factorize(n: int) -> Factored:
             n //= p
     if n > 1:
         rng = random.Random(n)
-        stack = [n]
+        stack = [(n, 1)]
         while stack:
-            m = stack.pop()
+            m, k = stack.pop()
             if is_prime(m):
-                found[m] = found.get(m, 0) + 1
+                found[m] = found.get(m, 0) + k
+                continue
+            # rho needs about sqrt(p) steps to split p^e for a large prime p,
+            # so every composite is first tried as a perfect power
+            powers = perfect_powers(m, m.bit_length())
+            if powers:
+                root, e = powers[-1]
+                stack.append((root, k * e))
                 continue
             d = _brent_rho(m, rng)
-            stack.append(d)
-            stack.append(m // d)
+            stack.append((d, k))
+            stack.append((m // d, k))
     return Factored(original, tuple(sorted(found.items())))
 
 

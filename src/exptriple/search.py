@@ -24,6 +24,7 @@ reordering and return them in sorted order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -32,7 +33,7 @@ from bisect import bisect_right
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from multiprocessing import Pool
 from typing import Iterable, TextIO
 
@@ -594,99 +595,169 @@ def run_pipeline(
 # ---------------------------------------------------------------------------
 
 
-# Inline residue sieve in front of perfect_powers: a square is a square
-# residue modulo 64 and 63, a cube a cubic residue modulo 63 and a fifth
-# power a fifth-power residue modulo 121.  The tables are those of
-# arith.POWER_SIEVES, picked by modulus.
-_SQUARE64, _SQUARE63, _CUBE63, _FIFTH121 = (
-    dict(POWER_SIEVES[p])[m] for p, m in ((2, 64), (2, 63), (3, 63), (5, 121))
+# Inline residue sieve in front of perfect_powers, with all eleven tables
+# of arith.POWER_SIEVES picked by modulus: a square is a square residue
+# modulo 64, 63, 65 and 11, a cube a cubic residue modulo 63, 91 and 37,
+# and a fifth power a fifth-power residue modulo 121, 31, 41 and 61.
+(_SQ64, _SQ63, _SQ65, _SQ11), (_CU63, _CU91, _CU37), (_FI121, _FI31, _FI41, _FI61) = (
+    tuple(dict(POWER_SIEVES[p])[m] for m in moduli)
+    for p, moduli in ((2, (64, 63, 65, 11)), (3, (63, 91, 37)), (5, (121, 31, 41, 61)))
 )
+
+# Largest exp_max whose root exponents the inline sieve covers (every
+# exponent from 2 to 6 is built from 2, 3 and 5); the exponent plan is
+# used up to it.
+_SIEVED_EXP_MAX = 6
+
+
+@functools.cache
+def _exponent_plan(
+    exp_max: int,
+) -> tuple[tuple[tuple[tuple[int, int, int], frozenset[int]], ...], tuple[tuple[int, int, int], ...]]:
+    """The exponent patterns of the pairs that pair_and_solve accepts, for a1 > 1.
+
+    Returns (((w1, x1, y1), the z1 values), ...) and ((x2, w2, y2), ...),
+    both sorted: every carrier "a" pattern and carrier "b" pattern, with
+    exponents up to exp_max, that is part of some pair with a positive
+    integral solution (alpha, beta, gamma) of
+
+        y1 * beta = z1 * gamma           y2 * beta = z2 * gamma + w2
+        x1 * alpha = z1 * gamma + w1     x2 * alpha = z2 * gamma
+
+    together with the z1 of those pairs.  The system splits into two
+    halves that share only (z1, z2, gamma): the first row gives gamma
+    from (y1, z1, y2, z2, w2) and needs beta integral, the second gives
+    gamma from (x1, z1, x2, z2, w1) and needs alpha integral.  Each half
+    is enumerated once and the two are joined on (z1, z2, gamma).
+    """
+    exps = range(1, exp_max + 1)
+    b_half: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
+    for y1, z1, y2, z2 in product(exps, repeat=4):
+        den = y2 * z1 - z2 * y1
+        if den <= 0:
+            continue
+        for w2 in exps:
+            gamma, rem = divmod(w2 * y1, den)
+            if not rem and not z1 * gamma % y1:
+                b_half.setdefault((z1, z2, gamma), []).append((y1, y2, w2))
+
+    lefts: dict[tuple[int, int, int], set[int]] = {}
+    rights: set[tuple[int, int, int]] = set()
+    for x1, z1, x2, z2 in product(exps, repeat=4):
+        den = x1 * z2 - z1 * x2
+        if den <= 0:
+            continue
+        for w1 in exps:
+            gamma, rem = divmod(w1 * x2, den)
+            if rem or z2 * gamma % x2:
+                continue
+            for y1, y2, w2 in b_half.get((z1, z2, gamma), ()):
+                lefts.setdefault((w1, x1, y1), set()).add(z1)
+                rights.add((x2, w2, y2))
+    return tuple((key, frozenset(lefts[key])) for key in sorted(lefts)), tuple(sorted(rights))
+
+
+@functools.cache
+def _cell_patterns(exp_max: int, unit_a1: bool) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
+    """The exponent patterns that a cell forms, and what each left one needs.
+
+    Returns the carrier "a" patterns as (y1, w1, x1, z1 values, whether
+    1 is one of them, the largest, whether a square, a cube or a fifth
+    root is wanted) and the carrier "b" patterns as (y2, x2, w2).  With
+    a1 > 1 and exp_max at most _SIEVED_EXP_MAX they are those of
+    _exponent_plan, otherwise every pattern with every z1 up to exp_max.
+    x is None for a unit a1.
+    """
+    exps = range(1, exp_max + 1)
+    if not unit_a1 and exp_max <= _SIEVED_EXP_MAX:
+        left_plan, right_plan = _exponent_plan(exp_max)
+    else:
+        xs = (None,) if unit_a1 else exps
+        every_z = frozenset(exps)
+        left_plan = tuple(((w, x, y), every_z) for w in exps for x in xs for y in exps)
+        right_plan = tuple((x, w, y) for x in xs for w in exps for y in exps)
+
+    lefts = []
+    for (w1, x1, y1), zs in left_plan:
+        # a z-th power is a p-th power for the least prime p of z
+        least = {next(p for p in range(2, z + 1) if z % p == 0) for z in zs if z > 1}
+        lefts.append((y1, w1, x1, zs, 1 in zs, max(zs), 2 in least, 3 in least, 5 in least))
+    return tuple(lefts), tuple((y2, x2, w2) for x2, w2, y2 in right_plan)
 
 
 def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ...]]:
     """Scan one (g, a1) cell of the box and return anomalous nine-tuples.
 
     The cell is streamed one b1 at a time, and only that b1's data is
-    held.  Each carrier "a" sum g^w1 * a1^x1 + b1^y1 is filed under
-    every c1 with c1^z1 equal to it: itself with z1 = 1 and each root
-    that perfect_powers finds.  The carrier "b" sums
-    a1^x2 + g^w2 * b1^y2 are never root-tested; they are looked up in a
-    table of the powers c1^z2 of the filed c1, capped at the largest
-    carrier "b" sum, since a carrier "b" identity whose c1 has no
-    carrier "a" identity pairs with nothing.  Every identity pair that
-    agrees on c1 is then solved and verified.
+    held.  First the carrier "b" sums a1^x2 + g^w2 * b1^y2 are filed by
+    value; they are never root-tested.  Then each carrier "a" sum
+    g^w1 * a1^x1 + b1^y1 is taken as c1^z1, itself with z1 = 1 and each
+    root that perfect_powers finds, and each power c1^z2 up to the
+    largest carrier "b" sum is looked up among them.  Every identity
+    pair that meets this way is solved and verified.
+
+    With a1 > 1 and exp_max at most 6 only the exponent patterns of
+    _exponent_plan are formed, a carrier "a" sum is taken as c1^z1 only
+    for the z1 its pattern admits, and only the inline sieves that those
+    z1 need run in front of perfect_powers.  The patterns left out are
+    exactly those that pair_and_solve would reject.  With a1 = 1 every
+    pattern is formed, and with exp_max of 7 or more every sum goes to
+    perfect_powers unsieved.
     """
     g, a1, bounds, max_bits = task
     exp_max = bounds.exp_max
     exps = range(1, exp_max + 1)
     g_pows = [g**w for w in range(exp_max + 1)]
+    a_pows = {None: 1} if a1 == 1 else {x: a1**x for x in exps}
+    unsieved = exp_max > _SIEVED_EXP_MAX
 
-    if a1 == 1:
-        lefts = [(w, None, g_pows[w]) for w in exps]
-        pures = [(None, 1)]
-    else:
-        a_pows = [a1**x for x in range(exp_max + 1)]
-        lefts = [(w, x, g_pows[w] * a_pows[x]) for w in exps for x in exps]
-        pures = [(x, a_pows[x]) for x in exps]
-    top_pure = max(pure for _, pure in pures)
-    # the inline residue tests cover exponents 2 to 6, all built from 2, 3, 5
-    unsieved = exp_max >= 7
+    left_patterns, right_patterns = _cell_patterns(exp_max, a1 == 1)
+    lefts = [(y1, w1, x1, g_pows[w1] * a_pows[x1], *needs)
+             for y1, w1, x1, *needs in left_patterns]
+    rights = [(y2, x2, w2, a_pows[x2], g_pows[w2]) for y2, x2, w2 in right_patterns]
 
     rows: set[tuple[int, ...]] = set()
     for b1 in range(1 if a1 > 1 else 2, bounds.b1_max + 1):
         if math.gcd(b1, g) != 1 or math.gcd(b1, a1) != 1:
             continue
-        b_exps = range(1, 2) if b1 == 1 else exps
-        b_pows = [b1**y for y in range(exp_max + 1)]
+        # a unit b1 keeps the literal exponent 1
+        y_max = 1 if b1 == 1 else exp_max
+        b_pows = [b1**y for y in range(y_max + 1)]
 
-        by_c: dict[int, list[tuple[int, int | None, int, int]]] = {}
-        for w1, x1, carried in lefts:
-            for y1 in b_exps:
-                total = carried + b_pows[y1]
-                by_c.setdefault(total, []).append((w1, x1, y1, 1))
-                r63 = total % 63
-                if not (
-                    unsieved
-                    or (_SQUARE64[total & 63] and _SQUARE63[r63])
-                    or _CUBE63[r63]
-                    or _FIFTH121[total % 121]
-                ):
-                    continue
-                for root, e in perfect_powers(total, exp_max):
-                    by_c.setdefault(root, []).append((w1, x1, y1, e))
+        right_sums: dict[int, list[tuple[int | None, int, int]]] = {}
+        for y2, x2, w2, pure, g_w in rights:
+            if y2 <= y_max:
+                right_sums.setdefault(pure + g_w * b_pows[y2], []).append((x2, w2, y2))
+        if not right_sums:
+            continue
+        top = max(right_sums)
 
-        cap = top_pure + g_pows[exp_max] * b_pows[b_exps[-1]]
-        c_powers: dict[int, list[tuple[int, int]]] = {}
-        for c1 in by_c:
-            value = c1
-            for z in exps:
-                if value > cap:
-                    break
-                c_powers.setdefault(value, []).append((c1, z))
-                value *= c1
-
-        by_c_right: dict[int, list[tuple[int | None, int, int, int]]] = {}
-        for x2, pure in pures:
-            for w2 in exps:
-                g_w = g_pows[w2]
-                for y2 in b_exps:
-                    for c1, z2 in c_powers.get(pure + g_w * b_pows[y2], ()):
-                        by_c_right.setdefault(c1, []).append((x2, w2, y2, z2))
-
-        for c1, entries in by_c_right.items():
-            rights = [
-                Identity("b", g, w2, a1, x2, b1, y2, c1, z2)
-                for x2, w2, y2, z2 in entries
-            ]
-            for w1, x1, y1, z1 in by_c[c1]:
-                left = Identity("a", g, w1, a1, x1, b1, y1, c1, z1)
-                for right in rights:
-                    system, _ = pair_and_solve(left, right)
-                    if system is None:
-                        continue
-                    result = reconstruct_and_verify(left, right, system, max_bits)
-                    if result.verdict is not None and result.verdict.kind == "anomalous":
-                        rows.add(result.nine.as_tuple())
+        for y1, w1, x1, carried, zs, self_z, z_top, sq, cu, fi in lefts:
+            if y1 > y_max:
+                continue
+            t = carried + b_pows[y1]
+            found = [(t, 1)] if self_z else []
+            if unsieved or (
+                (sq and _SQ64[t & 63] and _SQ63[t % 63] and _SQ65[t % 65] and _SQ11[t % 11])
+                or (cu and _CU63[t % 63] and _CU91[t % 91] and _CU37[t % 37])
+                or (fi and _FI121[t % 121] and _FI31[t % 31] and _FI41[t % 41] and _FI61[t % 61])
+            ):
+                found += [(c1, z1) for c1, z1 in perfect_powers(t, z_top) if z1 in zs]
+            for c1, z1 in found:
+                power = c1
+                for z2 in exps:
+                    if power > top:
+                        break
+                    for x2, w2, y2 in right_sums.get(power, ()):
+                        left = Identity("a", g, w1, a1, x1, b1, y1, c1, z1)
+                        right = Identity("b", g, w2, a1, x2, b1, y2, c1, z2)
+                        system, _ = pair_and_solve(left, right)
+                        if system is None:
+                            continue
+                        result = reconstruct_and_verify(left, right, system, max_bits)
+                        if result.verdict is not None and result.verdict.kind == "anomalous":
+                            rows.add(result.nine.as_tuple())
+                    power *= c1
     return sorted(rows)
 
 

@@ -112,6 +112,23 @@ class TestFactorize:
         assert factorize(n).factors == tuple(oracle_factorize(n)) == ((10_007, 1), (10_009, 1))
         assert len(rho) == 1
 
+    @pytest.mark.parametrize("n, factors", [
+        ((2**61 - 1) ** 2, ((2**61 - 1, 2),)),
+        ((2**61 - 1) ** 3, ((2**61 - 1, 3),)),
+        ((2**61 - 1) ** 2 * (2**31 - 1), ((2**31 - 1, 1), (2**61 - 1, 2))),
+    ])
+    def test_powers_of_a_large_prime_never_reach_rho(self, monkeypatch, n, factors):
+        # rho needs about 2^30 steps to split a power of p = 2^61 - 1, so no
+        # composite handed to it may be a perfect power
+        real = arith_module._brent_rho
+
+        def checked(m, rng):
+            assert perfect_powers(m, m.bit_length()) == [], m
+            return real(m, rng)
+
+        monkeypatch.setattr(arith_module, "_brent_rho", checked)
+        assert factorize(n).factors == factors
+
     @given(st.integers(min_value=1, max_value=10**12))
     @settings(max_examples=200)
     def test_recomposition(self, n):

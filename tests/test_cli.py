@@ -70,6 +70,18 @@ class TestEnumerate:
         assert small.returncode == 0
         assert f"warning: {c} does not fit below 2^64" in small.stderr
 
+    def test_square_of_a_large_prime_in_every_base(self):
+        # gcd(a, b, c) = (2^61 - 1)^2 is split as a perfect power, not by rho
+        p = 2**61 - 1
+        a, b, c = 2 * p * p, 3 * p * p, 5 * p * p
+        argv = [sys.executable, "-m", "exptriple.cli", "enumerate", str(a), str(b), str(c)]
+        done = subprocess.run(argv, env=subprocess_env(), capture_output=True,
+                              text=True, timeout=10)
+        assert done.returncode == 0
+        lines = done.stdout.splitlines()
+        assert lines[0].endswith(": 1")
+        assert lines[1] == f"  {a} + {b} = {c}    [types {p}:O]"
+
     def test_json_lines(self, capsys):
         code, out, _ = run(capsys, "enumerate", "3", "5", "2",
                            "--max-bits", "64", "--format", "json-lines")

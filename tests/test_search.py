@@ -1,5 +1,6 @@
 """Tests for equation ingestion, identity pairing, and the anomalous-pair search."""
 
+import itertools
 import json
 import math
 import warnings
@@ -21,6 +22,7 @@ from exptriple.search import (
     EquationRecord,
     Identity,
     SolvedSystem,
+    _exponent_plan,
     _search_unit,
     decompose,
     direct_search,
@@ -677,6 +679,13 @@ class TestDirectSearch:
         with pytest.raises(UsageError):
             direct_search(bounds=TINY_BOX, workers=0)
 
+    @pytest.mark.parametrize("exp_max", [1, 2])
+    def test_boxes_with_the_smallest_exponents_find_nothing(self, exp_max):
+        # exp_max 1 plans no pattern at all, and with exp_max 2 every planned
+        # carrier "b" pattern has y2 = 2, so a unit b1 has no carrier "b" sum
+        bounds = SearchBounds(a1_max=6, g_max=6, b1_max=60, exp_max=exp_max)
+        assert direct_search(bounds=bounds) == []
+
     def test_checkpoint_roundtrip(self, tmp_path, scanned):
         path = tmp_path / "state.jsonl"
         assert _tiny_rows(path) == TINY_BOX_ROWS
@@ -873,7 +882,8 @@ class TestCellScan:
         g=st.integers(min_value=2, max_value=12),
         a1=st.integers(min_value=1, max_value=12),
         b1_max=st.integers(min_value=1, max_value=40),
-        exp_max=st.integers(min_value=1, max_value=5),
+        # 6 is the largest planned and sieved exp_max, 7 the first unsieved one
+        exp_max=st.integers(min_value=1, max_value=7),
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_bucket_scan(self, g, a1, b1_max, exp_max):
@@ -887,6 +897,45 @@ class TestCellScan:
             got = _search_unit((g, a1, bounds, 128))
             assert got
             assert got == _bucket_scan(g, a1, bounds, 128)
+
+
+def _plan_by_brute_force(exp_max):
+    """The exponent plan from every tuple (w1, x1, y1, z1, x2, w2, y2, z2)
+    for which positive integers alpha, beta, gamma solve
+
+        y1 * beta = z1 * gamma           y2 * beta = z2 * gamma + w2
+        x1 * alpha = z1 * gamma + w1     x2 * alpha = z2 * gamma
+    """
+    exps = range(1, exp_max + 1)
+    lefts, rights = {}, set()
+    for w1, x1, y1, z1, x2, w2, y2, z2 in itertools.product(exps, repeat=8):
+        # the two beta equations fix gamma: (y2 * z1 - z2 * y1) * gamma = w2 * y1
+        den = y2 * z1 - z2 * y1
+        if den <= 0 or w2 * y1 % den:
+            continue
+        gamma = w2 * y1 // den
+        if z1 * gamma % y1 or z2 * gamma % x2:
+            continue
+        beta, alpha = z1 * gamma // y1, z2 * gamma // x2
+        if y2 * beta != z2 * gamma + w2 or x1 * alpha != z1 * gamma + w1:
+            continue
+        lefts.setdefault((w1, x1, y1), set()).add(z1)
+        rights.add((x2, w2, y2))
+    return lefts, rights
+
+
+class TestExponentPlan:
+    @pytest.mark.parametrize("exp_max", [1, 2, 3, 4])
+    def test_matches_brute_force(self, exp_max):
+        lefts, rights = _exponent_plan(exp_max)
+        assert (dict(lefts), set(rights)) == _plan_by_brute_force(exp_max)
+
+    def test_counts_at_exponent_six(self):
+        lefts, rights = _exponent_plan(6)
+        assert len(lefts) == len(dict(lefts)) == 155
+        assert len(rights) == len(set(rights)) == 155
+        assert sum(len(zs) for _, zs in lefts) == 527
+        assert sum(1 in zs for _, zs in lefts) == 99
 
 
 @pytest.mark.slow
