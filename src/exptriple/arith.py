@@ -116,7 +116,10 @@ def factorize(n: int) -> Factored:
     p*p above the cofactor, every smaller prime is divided out, so the
     cofactor is 1 or a prime and is recorded as it is.  A cofactor left
     after the whole table is split by deterministic Miller-Rabin, a
-    perfect-power test and Brent's rho.  factorize(1) has no factors.
+    perfect-power test and Brent's rho.  Rho takes about sqrt(p) steps to
+    split off the least prime p of a cofactor, so a cofactor with two
+    prime factors above about 2^60 is out of reach.  factorize(1) has no
+    factors.
     """
     if n < 1:
         raise ValueError(f"factorize requires a positive integer, got {n}")

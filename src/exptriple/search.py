@@ -613,19 +613,20 @@ _SIEVED_EXP_MAX = 6
 @functools.cache
 def _exponent_plan(
     exp_max: int,
-) -> tuple[tuple[tuple[tuple[int, int, int], frozenset[int]], ...], tuple[tuple[int, int, int], ...]]:
+) -> tuple[tuple[tuple[tuple[int, int, int], tuple[tuple[int, int], ...]], ...],
+           tuple[tuple[int, int, int], ...]]:
     """The exponent patterns of the pairs that pair_and_solve accepts, for a1 > 1.
 
-    Returns (((w1, x1, y1), the z1 values), ...) and ((x2, w2, y2), ...),
-    both sorted: every carrier "a" pattern and carrier "b" pattern, with
+    Returns (((w1, x1, y1), (z1, z2) pairs), ...) and ((x2, w2, y2), ...),
+    all sorted: every carrier "a" pattern and carrier "b" pattern, with
     exponents up to exp_max, that is part of some pair with a positive
     integral solution (alpha, beta, gamma) of
 
         y1 * beta = z1 * gamma           y2 * beta = z2 * gamma + w2
         x1 * alpha = z1 * gamma + w1     x2 * alpha = z2 * gamma
 
-    together with the z1 of those pairs.  The system splits into two
-    halves that share only (z1, z2, gamma): the first row gives gamma
+    together with the (z1, z2) of those pairs.  The system splits into
+    two halves that share only (z1, z2, gamma): the first row gives gamma
     from (y1, z1, y2, z2, w2) and needs beta integral, the second gives
     gamma from (x1, z1, x2, z2, w1) and needs alpha integral.  Each half
     is enumerated once and the two are joined on (z1, z2, gamma).
@@ -641,7 +642,7 @@ def _exponent_plan(
             if not rem and not z1 * gamma % y1:
                 b_half.setdefault((z1, z2, gamma), []).append((y1, y2, w2))
 
-    lefts: dict[tuple[int, int, int], set[int]] = {}
+    lefts: dict[tuple[int, int, int], set[tuple[int, int]]] = {}
     rights: set[tuple[int, int, int]] = set()
     for x1, z1, x2, z2 in product(exps, repeat=4):
         den = x1 * z2 - z1 * x2
@@ -652,36 +653,39 @@ def _exponent_plan(
             if rem or z2 * gamma % x2:
                 continue
             for y1, y2, w2 in b_half.get((z1, z2, gamma), ()):
-                lefts.setdefault((w1, x1, y1), set()).add(z1)
+                lefts.setdefault((w1, x1, y1), set()).add((z1, z2))
                 rights.add((x2, w2, y2))
-    return tuple((key, frozenset(lefts[key])) for key in sorted(lefts)), tuple(sorted(rights))
+    return tuple((key, tuple(sorted(lefts[key]))) for key in sorted(lefts)), tuple(sorted(rights))
 
 
 @functools.cache
 def _cell_patterns(exp_max: int, unit_a1: bool) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
     """The exponent patterns that a cell forms, and what each left one needs.
 
-    Returns the carrier "a" patterns as (y1, w1, x1, z1 values, whether
-    1 is one of them, the largest, whether a square, a cube or a fifth
-    root is wanted) and the carrier "b" patterns as (y2, x2, w2).  With
-    a1 > 1 and exp_max at most _SIEVED_EXP_MAX they are those of
-    _exponent_plan, otherwise every pattern with every z1 up to exp_max.
-    x is None for a unit a1.
+    Returns the carrier "a" patterns as (y1, w1, x1, the ascending z2
+    values for z1 = 1, those values by z1, the largest z1, whether a
+    square, a cube or a fifth root is wanted) and the carrier "b"
+    patterns as (y2, x2, w2).  With a1 > 1 and exp_max at most
+    _SIEVED_EXP_MAX they are those of _exponent_plan, otherwise every
+    pattern with every (z1, z2) up to exp_max.  x is None for a unit a1.
+    _search_unit retires a carrier "a" pattern once b1 outgrows it.
     """
     exps = range(1, exp_max + 1)
     if not unit_a1 and exp_max <= _SIEVED_EXP_MAX:
         left_plan, right_plan = _exponent_plan(exp_max)
     else:
         xs = (None,) if unit_a1 else exps
-        every_z = frozenset(exps)
+        every_z = tuple(product(exps, repeat=2))
         left_plan = tuple(((w, x, y), every_z) for w in exps for x in xs for y in exps)
         right_plan = tuple((x, w, y) for x in xs for w in exps for y in exps)
 
     lefts = []
     for (w1, x1, y1), zs in left_plan:
+        walks = {z1: [z2 for z, z2 in zs if z == z1] for z1, _ in zs}
         # a z-th power is a p-th power for the least prime p of z
-        least = {next(p for p in range(2, z + 1) if z % p == 0) for z in zs if z > 1}
-        lefts.append((y1, w1, x1, zs, 1 in zs, max(zs), 2 in least, 3 in least, 5 in least))
+        least = {next(p for p in range(2, z + 1) if z % p == 0) for z in walks if z > 1}
+        lefts.append((y1, w1, x1, walks.get(1, ()), walks, max(walks),
+                      2 in least, 3 in least, 5 in least))
     return tuple(lefts), tuple((y2, x2, w2) for x2, w2, y2 in right_plan)
 
 
@@ -698,18 +702,26 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
 
     With a1 > 1 and exp_max at most 6 only the exponent patterns of
     _exponent_plan are formed, a carrier "a" sum is taken as c1^z1 only
-    for the z1 its pattern admits, and only the inline sieves that those
-    z1 need run in front of perfect_powers.  The patterns left out are
-    exactly those that pair_and_solve would reject.  With a1 = 1 every
-    pattern is formed, and with exp_max of 7 or more every sum goes to
-    perfect_powers unsieved.
+    for the z1 its pattern admits, c1^z2 is looked up only for the z2
+    that go with that z1, and only the inline sieves that those z1 need
+    run in front of perfect_powers.  The patterns left out are exactly
+    those that pair_and_solve would reject.  With a1 = 1 every pattern
+    and every z2 is tried, and with exp_max of 7 or more every sum goes
+    to perfect_powers unsieved.
+
+    A carrier "a" pattern retires for the rest of the cell once b1 >=
+    max(2, 2^(exp_max - 1)) and b1^y1 >= A = g^w1 * a1^x1, both of which
+    stay true as b1 grows, and the cell ends when none is left: every
+    pair that pair_and_solve accepts has den = y2 * z1 - z2 * y1 >= 1, so
+    (A + b1^y1)^z2 <= 2^z2 * b1^(y1 * z2) < g^(w2 * z1) * b1^(den + y1 * z2)
+    <= (a1^x2 + g^w2 * b1^y2)^z1 and the two sums are no powers of one c1.
     """
     g, a1, bounds, max_bits = task
     exp_max = bounds.exp_max
-    exps = range(1, exp_max + 1)
     g_pows = [g**w for w in range(exp_max + 1)]
-    a_pows = {None: 1} if a1 == 1 else {x: a1**x for x in exps}
+    a_pows = {None: 1} if a1 == 1 else {x: a1**x for x in range(1, exp_max + 1)}
     unsieved = exp_max > _SIEVED_EXP_MAX
+    floor = max(2, 2 ** (exp_max - 1))
 
     left_patterns, right_patterns = _cell_patterns(exp_max, a1 == 1)
     lefts = [(y1, w1, x1, g_pows[w1] * a_pows[x1], *needs)
@@ -717,6 +729,18 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
     rights = [(y2, x2, w2, a_pows[x2], g_pows[w2]) for y2, x2, w2 in right_patterns]
 
     rows: set[tuple[int, ...]] = set()
+
+    def meet(left: Identity, z2: int, hits: list[tuple[int | None, int, int]]) -> None:
+        # left is c1^z1, and hits are the right patterns whose sum is c1^z2
+        for x2, w2, y2 in hits:
+            right = Identity("b", g, w2, a1, x2, left.b1, y2, left.c1, z2)
+            system, _ = pair_and_solve(left, right)
+            if system is None:
+                continue
+            result = reconstruct_and_verify(left, right, system, max_bits)
+            if result.verdict is not None and result.verdict.kind == "anomalous":
+                rows.add(result.nine.as_tuple())
+
     for b1 in range(1 if a1 > 1 else 2, bounds.b1_max + 1):
         if math.gcd(b1, g) != 1 or math.gcd(b1, a1) != 1:
             continue
@@ -732,32 +756,35 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
             continue
         top = max(right_sums)
 
-        for y1, w1, x1, carried, zs, self_z, z_top, sq, cu, fi in lefts:
+        retired = False
+        for y1, w1, x1, carried, self_walk, walks, z_top, sq, cu, fi in lefts:
             if y1 > y_max:
                 continue
+            if b1 >= floor and b_pows[y1] >= carried:
+                retired = True
+                continue
             t = carried + b_pows[y1]
-            found = [(t, 1)] if self_z else []
+            for z2 in self_walk:
+                power = t**z2
+                if power > top:
+                    break
+                if power in right_sums:
+                    meet(Identity("a", g, w1, a1, x1, b1, y1, t, 1), z2, right_sums[power])
             if unsieved or (
                 (sq and _SQ64[t & 63] and _SQ63[t % 63] and _SQ65[t % 65] and _SQ11[t % 11])
                 or (cu and _CU63[t % 63] and _CU91[t % 91] and _CU37[t % 37])
                 or (fi and _FI121[t % 121] and _FI31[t % 31] and _FI41[t % 41] and _FI61[t % 61])
             ):
-                found += [(c1, z1) for c1, z1 in perfect_powers(t, z_top) if z1 in zs]
-            for c1, z1 in found:
-                power = c1
-                for z2 in exps:
-                    if power > top:
-                        break
-                    for x2, w2, y2 in right_sums.get(power, ()):
-                        left = Identity("a", g, w1, a1, x1, b1, y1, c1, z1)
-                        right = Identity("b", g, w2, a1, x2, b1, y2, c1, z2)
-                        system, _ = pair_and_solve(left, right)
-                        if system is None:
-                            continue
-                        result = reconstruct_and_verify(left, right, system, max_bits)
-                        if result.verdict is not None and result.verdict.kind == "anomalous":
-                            rows.add(result.nine.as_tuple())
-                    power *= c1
+                for c1, z1 in perfect_powers(t, z_top):
+                    for z2 in walks.get(z1, ()):
+                        power = c1**z2
+                        if power > top:
+                            break
+                        if power in right_sums:
+                            left = Identity("a", g, w1, a1, x1, b1, y1, c1, z1)
+                            meet(left, z2, right_sums[power])
+        if retired and not (lefts := [p for p in lefts if b_pows[p[0]] < p[3]]):
+            break
     return sorted(rows)
 
 

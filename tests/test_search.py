@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exptriple.acceptance import _box_rows
-from exptriple.arith import introot, is_prime, radical
+from exptriple.arith import introot, is_prime, perfect_powers, radical
 from exptriple.catalog import KNOWN_ANOMALOUS_ROWS, is_known_anomalous
 from exptriple.config import SearchBounds
 from exptriple.errors import InternalInvariantError, UsageError
@@ -898,16 +898,27 @@ class TestCellScan:
             assert got
             assert got == _bucket_scan(g, a1, bounds, 128)
 
+    # one cell per exp_max whose b1 runs 24 past the retirement floor
+    # 2^(exp_max - 1); each cell from exp_max 3 on yields rows
+    @pytest.mark.parametrize(
+        ("exp_max", "g", "a1", "n_rows"),
+        [(2, 3, 2, 0), (3, 3, 2, 2), (4, 3, 1, 1), (5, 10, 7, 1), (6, 10, 3, 2), (7, 3, 1, 3)],
+    )
+    def test_cells_past_the_retirement_floor_match_bucket_scan(self, exp_max, g, a1, n_rows):
+        bounds = SearchBounds(a1_max=a1, g_max=g, b1_max=2 ** (exp_max - 1) + 24, exp_max=exp_max)
+        got = _search_unit((g, a1, bounds, 128))
+        assert len(got) == n_rows
+        assert got == _bucket_scan(g, a1, bounds, 128)
 
-def _plan_by_brute_force(exp_max):
-    """The exponent plan from every tuple (w1, x1, y1, z1, x2, w2, y2, z2)
-    for which positive integers alpha, beta, gamma solve
+
+def _accepted_pairs(exp_max):
+    """Every tuple (w1, x1, y1, z1, x2, w2, y2, z2) for which positive
+    integers alpha, beta, gamma solve
 
         y1 * beta = z1 * gamma           y2 * beta = z2 * gamma + w2
         x1 * alpha = z1 * gamma + w1     x2 * alpha = z2 * gamma
     """
     exps = range(1, exp_max + 1)
-    lefts, rights = {}, set()
     for w1, x1, y1, z1, x2, w2, y2, z2 in itertools.product(exps, repeat=8):
         # the two beta equations fix gamma: (y2 * z1 - z2 * y1) * gamma = w2 * y1
         den = y2 * z1 - z2 * y1
@@ -917,9 +928,26 @@ def _plan_by_brute_force(exp_max):
         if z1 * gamma % y1 or z2 * gamma % x2:
             continue
         beta, alpha = z1 * gamma // y1, z2 * gamma // x2
-        if y2 * beta != z2 * gamma + w2 or x1 * alpha != z1 * gamma + w1:
-            continue
-        lefts.setdefault((w1, x1, y1), set()).add(z1)
+        if y2 * beta == z2 * gamma + w2 and x1 * alpha == z1 * gamma + w1:
+            yield w1, x1, y1, z1, x2, w2, y2, z2
+
+
+def _accepted_unit_pairs(exp_max):
+    """The tuples of _accepted_pairs for a1 = 1, with x1 = x2 = None: the
+    alpha row then holds with alpha = 1 and x1, x2 solved for."""
+    exps = range(1, exp_max + 1)
+    for w1, y1, z1, w2, y2, z2 in itertools.product(exps, repeat=6):
+        den = y2 * z1 - z2 * y1
+        if den > 0 and not w2 * y1 % den and not z1 * (w2 * y1 // den) % y1:
+            yield w1, None, y1, z1, None, w2, y2, z2
+
+
+def _plan_by_brute_force(exp_max):
+    """The exponent plan from _accepted_pairs: the (z1, z2) of each left
+    pattern, and the right patterns."""
+    lefts, rights = {}, set()
+    for w1, x1, y1, z1, x2, w2, y2, z2 in _accepted_pairs(exp_max):
+        lefts.setdefault((w1, x1, y1), set()).add((z1, z2))
         rights.add((x2, w2, y2))
     return lefts, rights
 
@@ -928,14 +956,73 @@ class TestExponentPlan:
     @pytest.mark.parametrize("exp_max", [1, 2, 3, 4])
     def test_matches_brute_force(self, exp_max):
         lefts, rights = _exponent_plan(exp_max)
-        assert (dict(lefts), set(rights)) == _plan_by_brute_force(exp_max)
+        for _, zs in lefts:
+            assert list(zs) == sorted(set(zs))
+        assert ({key: set(zs) for key, zs in lefts}, set(rights)) == _plan_by_brute_force(exp_max)
 
     def test_counts_at_exponent_six(self):
         lefts, rights = _exponent_plan(6)
         assert len(lefts) == len(dict(lefts)) == 155
         assert len(rights) == len(set(rights)) == 155
-        assert sum(len(zs) for _, zs in lefts) == 527
-        assert sum(1 in zs for _, zs in lefts) == 99
+        assert sum(len({z1 for z1, _ in zs}) for _, zs in lefts) == 527
+        assert sum(any(z1 == 1 for z1, _ in zs) for _, zs in lefts) == 99
+        assert sum(len(zs) for _, zs in lefts) == 1396
+
+
+class TestRetirement:
+    """A carrier "a" pattern retires once b1 >= max(2, 2^(exp_max - 1))
+    and b1^y1 >= A = g^w1 * a1^x1."""
+
+    @pytest.mark.parametrize("exp_max", [1, 2, 3, 4, 5])
+    def test_right_sum_outgrows_the_left_one(self, exp_max):
+        # exact integers, no search: past the floor every accepted pair has
+        # R^z1 > L^z2, so L = c1^z1 and R = c1^z2 cannot both hold
+        pairs = list(_accepted_pairs(exp_max))
+        unit_pairs = list(_accepted_unit_pairs(exp_max))
+        for g, a1 in ((2, 1), (3, 1), (5, 1), (2, 3), (3, 2), (5, 7)):
+            for w1, x1, y1, z1, x2, w2, y2, z2 in unit_pairs if a1 == 1 else pairs:
+                A = g**w1 * (1 if x1 is None else a1**x1)
+                root = introot(A, y1)
+                start = max(2 ** (exp_max - 1), root if root**y1 == A else root + 1)
+                for b1 in (start, start + 1):
+                    left = A + b1**y1
+                    right = (1 if x2 is None else a1**x2) + g**w2 * b1**y2
+                    assert right**z1 > left**z2
+
+    # every pattern of the unit cell has retired at b1 = 129 > 2^7 = g^7
+    @pytest.mark.parametrize(
+        ("g", "a1", "b1_max", "ends_at"), [(2, 1, 140, 129), (2, 3, 100, None)]
+    )
+    def test_cell_forms_exactly_the_sums_of_live_patterns(
+        self, monkeypatch, g, a1, b1_max, ends_at
+    ):
+        # at exp_max 7 the cell hands every carrier "a" sum it forms to
+        # perfect_powers, so the calls show which patterns it kept per b1
+        exp_max = 7
+        formed = []
+
+        def recording(n, max_exp):
+            formed.append(n)
+            return perfect_powers(n, max_exp)
+
+        monkeypatch.setattr(search_module, "perfect_powers", recording)
+        bounds = SearchBounds(a1_max=a1, g_max=g, b1_max=b1_max, exp_max=exp_max)
+        _search_unit((g, a1, bounds, 128))
+
+        exps = range(1, exp_max + 1)
+        xs = exps if a1 > 1 else (0,)
+        carried = [(g**w1 * a1**x1, y1) for w1 in exps for x1 in xs for y1 in exps]
+        want, ended = [], None
+        for b1 in range(1 if a1 > 1 else 2, b1_max + 1):
+            if math.gcd(b1, g * a1) != 1:
+                continue
+            live = [(A, y1) for A, y1 in carried if b1 < 2 ** (exp_max - 1) or b1**y1 < A]
+            if not live:
+                ended = b1
+                break
+            want += [A + b1**y1 for A, y1 in live if b1 > 1 or y1 == 1]
+        assert ended == ends_at
+        assert sorted(formed) == sorted(want)
 
 
 @pytest.mark.slow
