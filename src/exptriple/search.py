@@ -710,18 +710,19 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
     to perfect_powers unsieved.
 
     A carrier "a" pattern retires for the rest of the cell once b1 >=
-    max(2, 2^(exp_max - 1)) and b1^y1 >= A = g^w1 * a1^x1, both of which
-    stay true as b1 grows, and the cell ends when none is left: every
-    pair that pair_and_solve accepts has den = y2 * z1 - z2 * y1 >= 1, so
-    (A + b1^y1)^z2 <= 2^z2 * b1^(y1 * z2) < g^(w2 * z1) * b1^(den + y1 * z2)
-    <= (a1^x2 + g^w2 * b1^y2)^z1 and the two sums are no powers of one c1.
+    max(2, 2^(exp_max - 2)) and b1^y1 >= A = g^w1 * a1^x1, both of which
+    stay true as b1 grows, and the cell ends when none is left.  A pair
+    that pair_and_solve accepts has den = y2 * z1 - z2 * y1 >= 1 and
+    z2 - z1 <= exp_max - 2 (z1 = 1 forces z2 < y2), so 2^z2 <= g^(w2 * z1)
+    * b1^den and (A + b1^y1)^z2 <= 2^z2 * b1^(y1 * z2) <= g^(w2 * z1) *
+    b1^(den + y1 * z2) < (a1^x2 + g^w2 * b1^y2)^z1: no powers of one c1.
     """
     g, a1, bounds, max_bits = task
     exp_max = bounds.exp_max
     g_pows = [g**w for w in range(exp_max + 1)]
     a_pows = {None: 1} if a1 == 1 else {x: a1**x for x in range(1, exp_max + 1)}
     unsieved = exp_max > _SIEVED_EXP_MAX
-    floor = max(2, 2 ** (exp_max - 1))
+    floor = max(2, 2**exp_max // 4)
 
     left_patterns, right_patterns = _cell_patterns(exp_max, a1 == 1)
     lefts = [(y1, w1, x1, g_pows[w1] * a_pows[x1], *needs)

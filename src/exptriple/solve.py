@@ -10,9 +10,10 @@ Enumeration takes one of three paths, each exact and complete below the
 bound.  A triple with a prime dividing exactly two bases has no solution
 and returns after three gcds.  A triple with a prime p dividing all three
 bases is split on p's valuations: two of v_p(a^x), v_p(b^y), v_p(c^z) are
-equal and no larger than the third, so each case pins one exponent to
-another and costs one walk with a table lookup per step, O(X + Y + Z) in
-the numbers of powers of a, b, c below the bound.  Only pairwise-coprime
+equal and no larger than the third.  Each case is a sequence in one step
+k, c^z - a^x, c^z - b^y or a^x + b^y, merged against a running power of
+the third base in O(K + Z) steps with no table; a difference u^k - v^k
+with u <= v is never positive and is skipped.  Only pairwise-coprime
 bases, such as (3, 5, 2), keep the O(X * Z) double loop over (x, z).
 """
 
@@ -121,20 +122,35 @@ def _coprime_double_loop(t: Triple, limit: int) -> list[Solution]:
     return found
 
 
-def _pinned_to_c(
-    u_powers: list[int], e_u: int, v_exp: dict[int, int], c_powers: list[int], e_c: int
+def _merge(
+    u_base: int, e_u: int, v_base: int, e_v: int, sign: int, base: int, limit: int
 ) -> list[tuple[int, int, int]]:
-    """Every (i, j, z) with u^i + v^j = c^z and i*e_u = z*e_c below the bound."""
-    out = []
-    step = e_u // math.gcd(e_u, e_c)
-    for z in range(step, len(c_powers) + 1, step):
-        i = z * e_c // e_u
-        if i > len(u_powers):
-            break
-        j = v_exp.get(c_powers[z - 1] - u_powers[i - 1])
-        if j is not None:
-            out.append((i, j, z))
-    return out
+    """Every (i, j, e) with u_base^i + sign * v_base^j = base^e, i*e_u = j*e_v
+    and c^z below limit, where c^z is u_base^i for sign -1, else the sum.
+
+    The term is u^k + sign * v^k for u = u_base^(e_v/g), v = v_base^(e_u/g)
+    and g = gcd(e_u, e_v), which increases with k once u > v.
+    """
+    g = math.gcd(e_u, e_v)
+    du, dv = e_v // g, e_u // g
+    bits = limit.bit_length() - 1
+    if du * (u_base.bit_length() - 1) >= bits or dv * (v_base.bit_length() - 1) >= bits:
+        return []  # u or v is at least limit, and then so is every c^z; neither is formed
+    u, v = u_base**du, v_base**dv
+    if sign < 0 and u <= v:
+        return []  # the difference is never positive
+    out, uk, vk, k = [], u, v, 1
+    power, e = base, 1
+    while True:
+        term = uk + sign * vk
+        if (uk if sign < 0 else term) >= limit:
+            return out
+        while power < term:
+            power *= base
+            e += 1
+        if power == term:
+            out.append((k * du, k * dv, e))
+        uk, vk, k = uk * u, vk * v, k + 1
 
 
 def _valuation_split(t: Triple, limit: int) -> list[Solution]:
@@ -142,29 +158,14 @@ def _valuation_split(t: Triple, limit: int) -> list[Solution]:
 
     For the smallest shared prime p with exponents (e_a, e_b, e_c), two of
     v_p(a^x) = x*e_a, v_p(b^y) = y*e_b and v_p(c^z) = z*e_c are equal and
-    no larger than the third.  Each case fixes one exponent by another, so
-    every case is a single walk with a table lookup.
+    no larger than the third: c^z - a^x = b^y, c^z - b^y = a^x or
+    a^x + b^y = c^z is then one merge walk.
     """
     e_a, e_b, e_c = t.exponents[t.common_primes[0]]
-    a_powers = _powers_below(t.a, limit)
-    b_powers = _powers_below(t.b, limit)
-    c_powers = _powers_below(t.c, limit)
-    a_exp = _exponent_of_power(a_powers)
-    b_exp = _exponent_of_power(b_powers)
-    c_exp = _exponent_of_power(c_powers)
-    found = {Solution(x, y, z) for x, y, z in _pinned_to_c(a_powers, e_a, b_exp, c_powers, e_c)}
-    found.update(
-        Solution(x, y, z) for y, x, z in _pinned_to_c(b_powers, e_b, a_exp, c_powers, e_c)
-    )
-    step = e_a * e_b // math.gcd(e_a, e_b)
-    dx, dy = step // e_a, step // e_b
-    x, y = dx, dy
-    while x <= len(a_powers) and y <= len(b_powers):
-        z = c_exp.get(a_powers[x - 1] + b_powers[y - 1])
-        if z is not None:
-            found.add(Solution(x, y, z))
-        x += dx
-        y += dy
+    a, b, c = t.a, t.b, t.c
+    found = {Solution(x, y, z) for z, x, y in _merge(c, e_c, a, e_a, -1, b, limit)}
+    found.update(Solution(x, y, z) for z, y, x in _merge(c, e_c, b, e_b, -1, a, limit))
+    found.update(Solution(x, y, z) for x, y, z in _merge(a, e_a, b, e_b, 1, c, limit))
     return list(found)
 
 
@@ -182,11 +183,15 @@ def enumerate_solutions(t: Triple, max_bits: int) -> SolutionSet:
     - Valuation split, when a prime p divides all three bases.  Of the
       p-adic valuations of a^x, b^y and c^z the two smallest are equal, so
       x*e_a = z*e_c, y*e_b = z*e_c or x*e_a = y*e_b for p's exponents
-      (e_a, e_b, e_c).  The first two cases walk z and look c^z - a^x up
-      among the powers of b, or c^z - b^y among the powers of a; the third
-      walks the progression x*e_a = y*e_b and looks a^x + b^y up among the
-      powers of c.  The cases can overlap, so hits are collected in a set.
-      Cost O(X + Y + Z) power products and lookups.
+      (e_a, e_b, e_c).  Each case is a sequence in k that increases:
+      c^z - a^x = u^k - v^k for u = c^(e_a/g), v = a^(e_c/g) and
+      g = gcd(e_a, e_c), c^z - b^y likewise, a^x + b^y = u^k + v^k for
+      u = a^(e_b/g), v = b^(e_a/g) and g = gcd(e_a, e_b).  It is walked
+      next to a running power of the third base, advanced while below
+      the term, and stops when c^z reaches the bound; a difference with
+      u <= v is never positive and is skipped.  The cases can overlap, so
+      hits are collected in a set.  Cost O(K + Z) steps per case with no
+      table: K values of k and the Z powers of c (X or Y for a or b).
     - Pairwise-coprime bases, such as (3, 5, 2): for each z, walk the
       powers of a below c^z and look the difference up among the powers
       of b.  Cost O(X * Z) lookups.

@@ -58,12 +58,15 @@ def build_triple(a: int, b: int, c: int) -> Triple:
     """Populate the shared-prime fields from gcd(a, b, c).
 
     Only gcd(a, b, c) is factored; each of its primes is then divided out
-    of a, b and c, which gives the exponent triples and a1, b1, c1.
+    of a, b and c, which gives the exponent triples and a1, b1, c1.  A gcd
+    of 1 is never factored: the triple has no common prime.
     """
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        if v < 2:
-            raise ValueError(f"base {name} must be at least 2, got {v}")
-    common = factorize(math.gcd(a, b, c)).primes
+    if min(a, b, c) < 2:
+        name, v = next((n, v) for n, v in (("a", a), ("b", b), ("c", c)) if v < 2)
+        raise ValueError(f"base {name} must be at least 2, got {v}")
+    if (d := math.gcd(a, b, c)) == 1:
+        return Triple(a, b, c, (), {}, a, b, c)
+    common = factorize(d).primes
     exponents = {}
     a1, b1, c1 = a, b, c
     for p in common:

@@ -899,13 +899,13 @@ class TestCellScan:
             assert got == _bucket_scan(g, a1, bounds, 128)
 
     # one cell per exp_max whose b1 runs 24 past the retirement floor
-    # 2^(exp_max - 1); each cell from exp_max 3 on yields rows
+    # 2^(exp_max - 2); each cell from exp_max 3 on yields rows
     @pytest.mark.parametrize(
         ("exp_max", "g", "a1", "n_rows"),
-        [(2, 3, 2, 0), (3, 3, 2, 2), (4, 3, 1, 1), (5, 10, 7, 1), (6, 10, 3, 2), (7, 3, 1, 3)],
+        [(2, 3, 2, 0), (3, 3, 2, 2), (4, 3, 1, 1), (5, 10, 7, 1), (6, 10, 3, 1), (7, 3, 1, 3)],
     )
     def test_cells_past_the_retirement_floor_match_bucket_scan(self, exp_max, g, a1, n_rows):
-        bounds = SearchBounds(a1_max=a1, g_max=g, b1_max=2 ** (exp_max - 1) + 24, exp_max=exp_max)
+        bounds = SearchBounds(a1_max=a1, g_max=g, b1_max=2**exp_max // 4 + 24, exp_max=exp_max)
         got = _search_unit((g, a1, bounds, 128))
         assert len(got) == n_rows
         assert got == _bucket_scan(g, a1, bounds, 128)
@@ -970,10 +970,10 @@ class TestExponentPlan:
 
 
 class TestRetirement:
-    """A carrier "a" pattern retires once b1 >= max(2, 2^(exp_max - 1))
+    """A carrier "a" pattern retires once b1 >= max(2, 2^(exp_max - 2))
     and b1^y1 >= A = g^w1 * a1^x1."""
 
-    @pytest.mark.parametrize("exp_max", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("exp_max", [1, 2, 3, 4, 5, 6])
     def test_right_sum_outgrows_the_left_one(self, exp_max):
         # exact integers, no search: past the floor every accepted pair has
         # R^z1 > L^z2, so L = c1^z1 and R = c1^z2 cannot both hold
@@ -983,7 +983,7 @@ class TestRetirement:
             for w1, x1, y1, z1, x2, w2, y2, z2 in unit_pairs if a1 == 1 else pairs:
                 A = g**w1 * (1 if x1 is None else a1**x1)
                 root = introot(A, y1)
-                start = max(2 ** (exp_max - 1), root if root**y1 == A else root + 1)
+                start = max(2**exp_max // 4, root if root**y1 == A else root + 1)
                 for b1 in (start, start + 1):
                     left = A + b1**y1
                     right = (1 if x2 is None else a1**x2) + g**w2 * b1**y2
@@ -1016,7 +1016,7 @@ class TestRetirement:
         for b1 in range(1 if a1 > 1 else 2, b1_max + 1):
             if math.gcd(b1, g * a1) != 1:
                 continue
-            live = [(A, y1) for A, y1 in carried if b1 < 2 ** (exp_max - 1) or b1**y1 < A]
+            live = [(A, y1) for A, y1 in carried if b1 < 2**exp_max // 4 or b1**y1 < A]
             if not live:
                 ended = b1
                 break

@@ -6,7 +6,7 @@ import math
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from exptriple.catalog import KNOWN_ANOMALOUS_ROWS
@@ -190,6 +190,36 @@ class TestMatchesReferenceLoop:
             assert len(build_triple(a, b, c).common_primes) == 2
             assert_matches_reference(a, b, c, 200)
 
+    @given(
+        st.sampled_from((2, 3, 5)),
+        st.tuples(*(st.integers(min_value=1, max_value=4),) * 3),
+        st.sampled_from(_PARTS),
+        st.sampled_from(_PARTS),
+        st.sampled_from((1, 3, 5, 7)),
+        st.none() | st.tuples(*(st.integers(min_value=1, max_value=3),) * 2),
+        st.integers(min_value=8, max_value=160),
+    )
+    @example(2, (1, 1, 2), 3, 5, 1, None, 64)  # 6 + 10 = 4^2, both differences skipped
+    @settings(max_examples=200, deadline=None)
+    def test_skipped_difference_walk(self, p, exps, a1, b1, c1, plant, max_bits):
+        # c^(e_a/g) <= a^(e_c/g) for the least shared prime, so no
+        # c^z - a^x with x*e_a = z*e_c is positive and that walk is
+        # skipped; with plant = (x, z), b = c^z - a^x has the solution
+        # (x, 1, z), which one of the other two walks finds
+        a, b, c = p ** exps[0] * a1, p ** exps[1] * b1, p ** exps[2] * c1
+        if plant is not None and c ** plant[1] - a ** plant[0] >= 2:
+            b = c ** plant[1] - a ** plant[0]
+        t = build_triple(a, b, c)
+        e_a, _, e_c = t.exponents[t.common_primes[0]]
+        g = math.gcd(e_a, e_c)
+        assume(c ** (e_a // g) <= a ** (e_c // g))
+        assert_matches_reference(a, b, c, max_bits)
+
+    def test_large_exponent_of_the_shared_prime(self):
+        # c^(e_a) would have about 93 million bits; it is never formed
+        a, b, c = 2**10_000 * 3, 14, 2 * 5**4000
+        assert_matches_reference(a, b, c, 20_000)
+
 
 class TestEarlyExit:
     @pytest.mark.parametrize("abc", [(6, 10, 15), (4, 6, 9), (2, 6, 3)])
@@ -202,7 +232,8 @@ class TestEarlyExit:
 
 
 class TestReach:
-    """Known solutions come back unchanged at a bound of 10,000 bits."""
+    """Known solutions come back unchanged at a bound of 10,000 bits, and
+    exactly when c^z lies below the bound."""
 
     def test_two_two_six(self):
         sset = enumerate_solutions(build_triple(2, 2, 6), 10_000)
@@ -214,6 +245,27 @@ class TestReach:
         sset = enumerate_solutions(build_triple(a, b, c), 10_000)
         assert set(sol_tuples(sset)) == {(x1, y1, z1), (x2, y2, z2)}
         assert count_N(sset) == 2
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ((2, 2, 6), [(1, 2, 1), (2, 1, 1), (2, 5, 2), (5, 2, 2)]),
+            ((3, 3, 6), [(1, 1, 1), (2, 3, 2), (3, 2, 2)]),
+        ]
+        + [(row[:3], [row[3:6], row[6:]]) for row in KNOWN_ANOMALOUS_ROWS],
+        ids=lambda case: str(case[0]),
+    )
+    def test_bound_edge(self, case):
+        # c^z has n bits: it lies below 2^n but not below 2^(n - 1).  In
+        # (3, 3, 6) the difference 36 - 9 = 27 is below 2^5 while 36 is not
+        (a, b, c), solutions = case
+        t = build_triple(a, b, c)
+        for x, y, z in solutions:
+            n = (c**z).bit_length()
+            assert (x, y, z) in sol_tuples(enumerate_solutions(t, n))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                assert (x, y, z) not in sol_tuples(enumerate_solutions(t, n - 1))
 
 
 class TestMakeSolution:

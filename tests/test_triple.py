@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exptriple import triple as triple_module
 from exptriple.errors import ProportionalityError
 from exptriple.triple import build_triple, g_decomposition
 
@@ -63,6 +64,17 @@ class TestBuildTriple:
         t = build_triple(2, 6, 9)
         assert t.common_primes == ()
         assert (t.a1, t.b1, t.c1) == (2, 6, 9)
+
+    @pytest.mark.parametrize("abc", [(4, 6, 9), (10, 15, 7)])
+    def test_gcd_of_one_is_not_factored(self, monkeypatch, abc):
+        # each triple has a prime of two bases, but none of all three
+        calls = []
+        monkeypatch.setattr(triple_module, "factorize", lambda n: calls.append(n))
+        t = build_triple(*abc)
+        assert calls == []
+        assert t.common_primes == ()
+        assert t.exponents == {}
+        assert (t.a1, t.b1, t.c1) == abc
 
     def test_rejects_small_bases(self):
         with pytest.raises(ValueError):
