@@ -604,18 +604,13 @@ def run_pipeline(
     for p, moduli in ((2, (64, 63, 65, 11)), (3, (63, 91, 37)), (5, (121, 31, 41, 61)))
 )
 
-# Largest exp_max whose root exponents the inline sieve covers (every
-# exponent from 2 to 6 is built from 2, 3 and 5); the exponent plan is
-# used up to it.
-_SIEVED_EXP_MAX = 6
-
 
 @functools.cache
 def _exponent_plan(
-    exp_max: int,
-) -> tuple[tuple[tuple[tuple[int, int, int], tuple[tuple[int, int], ...]], ...],
-           tuple[tuple[int, int, int], ...]]:
-    """The exponent patterns of the pairs that pair_and_solve accepts, for a1 > 1.
+    exp_max: int, unit_a1: bool,
+) -> tuple[tuple[tuple[tuple[int, int | None, int], tuple[tuple[int, int], ...]], ...],
+           tuple[tuple[int | None, int, int], ...]]:
+    """The exponent patterns of the pairs that pair_and_solve accepts.
 
     Returns (((w1, x1, y1), (z1, z2) pairs), ...) and ((x2, w2, y2), ...),
     all sorted: every carrier "a" pattern and carrier "b" pattern, with
@@ -629,7 +624,9 @@ def _exponent_plan(
     two halves that share only (z1, z2, gamma): the first row gives gamma
     from (y1, z1, y2, z2, w2) and needs beta integral, the second gives
     gamma from (x1, z1, x2, z2, w1) and needs alpha integral.  Each half
-    is enumerated once and the two are joined on (z1, z2, gamma).
+    is enumerated once and the two are joined on (z1, z2, gamma).  For a
+    unit a1, x1 and x2 are None: alpha = 1 then solves the second row
+    with x1 and x2 resolved, so every w1 joins every (z1, z2, gamma).
     """
     exps = range(1, exp_max + 1)
     b_half: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
@@ -642,19 +639,25 @@ def _exponent_plan(
             if not rem and not z1 * gamma % y1:
                 b_half.setdefault((z1, z2, gamma), []).append((y1, y2, w2))
 
-    lefts: dict[tuple[int, int, int], set[tuple[int, int]]] = {}
-    rights: set[tuple[int, int, int]] = set()
-    for x1, z1, x2, z2 in product(exps, repeat=4):
-        den = x1 * z2 - z1 * x2
-        if den <= 0:
-            continue
-        for w1 in exps:
-            gamma, rem = divmod(w1 * x2, den)
-            if rem or z2 * gamma % x2:
+    if unit_a1:
+        a_half = [(key, w1, None, None) for key in b_half for w1 in exps]
+    else:
+        a_half = []
+        for x1, z1, x2, z2 in product(exps, repeat=4):
+            den = x1 * z2 - z1 * x2
+            if den <= 0:
                 continue
-            for y1, y2, w2 in b_half.get((z1, z2, gamma), ()):
-                lefts.setdefault((w1, x1, y1), set()).add((z1, z2))
-                rights.add((x2, w2, y2))
+            for w1 in exps:
+                gamma, rem = divmod(w1 * x2, den)
+                if not rem and not z2 * gamma % x2:
+                    a_half.append(((z1, z2, gamma), w1, x1, x2))
+
+    lefts: dict[tuple[int, int | None, int], set[tuple[int, int]]] = {}
+    rights: set[tuple[int | None, int, int]] = set()
+    for (z1, z2, gamma), w1, x1, x2 in a_half:
+        for y1, y2, w2 in b_half.get((z1, z2, gamma), ()):
+            lefts.setdefault((w1, x1, y1), set()).add((z1, z2))
+            rights.add((x2, w2, y2))
     return tuple((key, tuple(sorted(lefts[key]))) for key in sorted(lefts)), tuple(sorted(rights))
 
 
@@ -662,30 +665,21 @@ def _exponent_plan(
 def _cell_patterns(exp_max: int, unit_a1: bool) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
     """The exponent patterns that a cell forms, and what each left one needs.
 
-    Returns the carrier "a" patterns as (y1, w1, x1, the ascending z2
-    values for z1 = 1, those values by z1, the largest z1, whether a
-    square, a cube or a fifth root is wanted) and the carrier "b"
-    patterns as (y2, x2, w2).  With a1 > 1 and exp_max at most
-    _SIEVED_EXP_MAX they are those of _exponent_plan, otherwise every
-    pattern with every (z1, z2) up to exp_max.  x is None for a unit a1.
-    _search_unit retires a carrier "a" pattern once b1 outgrows it.
+    Returns the carrier "a" patterns of _exponent_plan as (y1, w1, x1,
+    the ascending z2 values for z1 = 1, those values by z1, the largest
+    z1, whether a square, a cube, a fifth root or a root that no inline
+    sieve covers is wanted) and its carrier "b" patterns as (y2, x2, w2).
+    x is None for a unit a1.  _search_unit retires a carrier "a" pattern
+    once b1 outgrows it.
     """
-    exps = range(1, exp_max + 1)
-    if not unit_a1 and exp_max <= _SIEVED_EXP_MAX:
-        left_plan, right_plan = _exponent_plan(exp_max)
-    else:
-        xs = (None,) if unit_a1 else exps
-        every_z = tuple(product(exps, repeat=2))
-        left_plan = tuple(((w, x, y), every_z) for w in exps for x in xs for y in exps)
-        right_plan = tuple((x, w, y) for x in xs for w in exps for y in exps)
-
+    left_plan, right_plan = _exponent_plan(exp_max, unit_a1)
     lefts = []
     for (w1, x1, y1), zs in left_plan:
         walks = {z1: [z2 for z, z2 in zs if z == z1] for z1, _ in zs}
         # a z-th power is a p-th power for the least prime p of z
         least = {next(p for p in range(2, z + 1) if z % p == 0) for z in walks if z > 1}
         lefts.append((y1, w1, x1, walks.get(1, ()), walks, max(walks),
-                      2 in least, 3 in least, 5 in least))
+                      2 in least, 3 in least, 5 in least, max(least, default=0) >= 7))
     return tuple(lefts), tuple((y2, x2, w2) for x2, w2, y2 in right_plan)
 
 
@@ -700,14 +694,14 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
     largest carrier "b" sum is looked up among them.  Every identity
     pair that meets this way is solved and verified.
 
-    With a1 > 1 and exp_max at most 6 only the exponent patterns of
-    _exponent_plan are formed, a carrier "a" sum is taken as c1^z1 only
-    for the z1 its pattern admits, c1^z2 is looked up only for the z2
-    that go with that z1, and only the inline sieves that those z1 need
-    run in front of perfect_powers.  The patterns left out are exactly
-    those that pair_and_solve would reject.  With a1 = 1 every pattern
-    and every z2 is tried, and with exp_max of 7 or more every sum goes
-    to perfect_powers unsieved.
+    Only the exponent patterns of _exponent_plan are formed, for every
+    a1 and every exp_max.  A carrier "a" sum is taken as c1^z1 only for
+    the z1 its pattern admits, c1^z2 is looked up only for the z2 that
+    go with that z1, and only the inline sieves that those z1 need run
+    in front of perfect_powers.  The sieves stop at fifth powers, so a
+    pattern that admits a z1 whose least prime is 7 or more hands every
+    sum to perfect_powers.  The patterns left out are exactly those that
+    pair_and_solve would reject.
 
     A carrier "a" pattern retires for the rest of the cell once b1 >=
     max(2, 2^(exp_max - 2)) and b1^y1 >= A = g^w1 * a1^x1, both of which
@@ -721,7 +715,6 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
     exp_max = bounds.exp_max
     g_pows = [g**w for w in range(exp_max + 1)]
     a_pows = {None: 1} if a1 == 1 else {x: a1**x for x in range(1, exp_max + 1)}
-    unsieved = exp_max > _SIEVED_EXP_MAX
     floor = max(2, 2**exp_max // 4)
 
     left_patterns, right_patterns = _cell_patterns(exp_max, a1 == 1)
@@ -758,7 +751,7 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
         top = max(right_sums)
 
         retired = False
-        for y1, w1, x1, carried, self_walk, walks, z_top, sq, cu, fi in lefts:
+        for y1, w1, x1, carried, self_walk, walks, z_top, sq, cu, fi, bare in lefts:
             if y1 > y_max:
                 continue
             if b1 >= floor and b_pows[y1] >= carried:
@@ -771,7 +764,7 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
                     break
                 if power in right_sums:
                     meet(Identity("a", g, w1, a1, x1, b1, y1, t, 1), z2, right_sums[power])
-            if unsieved or (
+            if bare or (
                 (sq and _SQ64[t & 63] and _SQ63[t % 63] and _SQ65[t % 65] and _SQ11[t % 11])
                 or (cu and _CU63[t % 63] and _CU91[t % 91] and _CU37[t % 37])
                 or (fi and _FI121[t % 121] and _FI31[t % 31] and _FI41[t % 41] and _FI61[t % 61])

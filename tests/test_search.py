@@ -882,8 +882,8 @@ class TestCellScan:
         g=st.integers(min_value=2, max_value=12),
         a1=st.integers(min_value=1, max_value=12),
         b1_max=st.integers(min_value=1, max_value=40),
-        # 6 is the largest planned and sieved exp_max, 7 the first unsieved one
-        exp_max=st.integers(min_value=1, max_value=7),
+        # from exp_max 7 on, a planned z1 = 7 has no inline sieve
+        exp_max=st.integers(min_value=1, max_value=8),
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_bucket_scan(self, g, a1, b1_max, exp_max):
@@ -898,11 +898,12 @@ class TestCellScan:
             assert got
             assert got == _bucket_scan(g, a1, bounds, 128)
 
-    # one cell per exp_max whose b1 runs 24 past the retirement floor
-    # 2^(exp_max - 2); each cell from exp_max 3 on yields rows
+    # cells whose b1 runs 24 past the retirement floor 2^(exp_max - 2),
+    # unit and non-unit past exp_max 6; each cell from exp_max 3 on yields rows
     @pytest.mark.parametrize(
         ("exp_max", "g", "a1", "n_rows"),
-        [(2, 3, 2, 0), (3, 3, 2, 2), (4, 3, 1, 1), (5, 10, 7, 1), (6, 10, 3, 1), (7, 3, 1, 3)],
+        [(2, 3, 2, 0), (3, 3, 2, 2), (4, 3, 1, 1), (5, 10, 7, 1), (6, 10, 3, 1), (7, 3, 1, 3),
+         (7, 10, 3, 2), (8, 2, 1, 2), (8, 10, 3, 2)],
     )
     def test_cells_past_the_retirement_floor_match_bucket_scan(self, exp_max, g, a1, n_rows):
         bounds = SearchBounds(a1_max=a1, g_max=g, b1_max=2**exp_max // 4 + 24, exp_max=exp_max)
@@ -942,26 +943,39 @@ def _accepted_unit_pairs(exp_max):
             yield w1, None, y1, z1, None, w2, y2, z2
 
 
-def _plan_by_brute_force(exp_max):
-    """The exponent plan from _accepted_pairs: the (z1, z2) of each left
+def _plan_by_brute_force(pairs):
+    """The exponent plan from accepted pairs: the (z1, z2) of each left
     pattern, and the right patterns."""
     lefts, rights = {}, set()
-    for w1, x1, y1, z1, x2, w2, y2, z2 in _accepted_pairs(exp_max):
+    for w1, x1, y1, z1, x2, w2, y2, z2 in pairs:
         lefts.setdefault((w1, x1, y1), set()).add((z1, z2))
         rights.add((x2, w2, y2))
     return lefts, rights
 
 
 class TestExponentPlan:
-    @pytest.mark.parametrize("exp_max", [1, 2, 3, 4])
+    @pytest.mark.parametrize("exp_max", [1, 2, 3, 4, 5, 6])
     def test_matches_brute_force(self, exp_max):
-        lefts, rights = _exponent_plan(exp_max)
-        for _, zs in lefts:
-            assert list(zs) == sorted(set(zs))
-        assert ({key: set(zs) for key, zs in lefts}, set(rights)) == _plan_by_brute_force(exp_max)
+        for unit_a1, accepted in ((True, _accepted_unit_pairs), (False, _accepted_pairs)):
+            if not unit_a1 and exp_max > 4:
+                continue  # eight nested exponents take too long from 5 on
+            lefts, rights = _exponent_plan(exp_max, unit_a1)
+            for _, zs in lefts:
+                assert list(zs) == sorted(set(zs))
+            plan = ({key: set(zs) for key, zs in lefts}, set(rights))
+            assert plan == _plan_by_brute_force(accepted(exp_max))
+
+    @pytest.mark.parametrize(
+        ("exp_max", "unit_a1", "n_patterns"),
+        [(7, False, 260), (8, False, 386), (6, True, 36), (7, True, 49), (8, True, 64)],
+    )
+    def test_pattern_counts(self, exp_max, unit_a1, n_patterns):
+        lefts, rights = _exponent_plan(exp_max, unit_a1)
+        assert len(lefts) == len(dict(lefts)) == n_patterns
+        assert len(rights) == len(set(rights)) == n_patterns
 
     def test_counts_at_exponent_six(self):
-        lefts, rights = _exponent_plan(6)
+        lefts, rights = _exponent_plan(6, False)
         assert len(lefts) == len(dict(lefts)) == 155
         assert len(rights) == len(set(rights)) == 155
         assert sum(len({z1 for z1, _ in zs}) for _, zs in lefts) == 527
@@ -996,8 +1010,9 @@ class TestRetirement:
     def test_cell_forms_exactly_the_sums_of_live_patterns(
         self, monkeypatch, g, a1, b1_max, ends_at
     ):
-        # at exp_max 7 the cell hands every carrier "a" sum it forms to
-        # perfect_powers, so the calls show which patterns it kept per b1
+        # with inline sieves that pass every residue, the cell hands each
+        # carrier "a" sum of a pattern admitting some z1 > 1 to perfect_powers,
+        # so the calls show which planned patterns it kept per b1
         exp_max = 7
         formed = []
 
@@ -1006,23 +1021,39 @@ class TestRetirement:
             return perfect_powers(n, max_exp)
 
         monkeypatch.setattr(search_module, "perfect_powers", recording)
+        sieves = [name for name in vars(search_module) if name[:3] in ("_SQ", "_CU", "_FI")]
+        assert len(sieves) == 11
+        for name in sieves:
+            monkeypatch.setattr(search_module, name, (True,) * 121)
         bounds = SearchBounds(a1_max=a1, g_max=g, b1_max=b1_max, exp_max=exp_max)
         _search_unit((g, a1, bounds, 128))
 
-        exps = range(1, exp_max + 1)
-        xs = exps if a1 > 1 else (0,)
-        carried = [(g**w1 * a1**x1, y1) for w1 in exps for x1 in xs for y1 in exps]
+        lefts, _ = _exponent_plan(exp_max, a1 == 1)
+        carried = [
+            (g**w1 * (1 if x1 is None else a1**x1), y1, any(z1 > 1 for z1, _ in zs))
+            for (w1, x1, y1), zs in lefts
+        ]
         want, ended = [], None
         for b1 in range(1 if a1 > 1 else 2, b1_max + 1):
             if math.gcd(b1, g * a1) != 1:
                 continue
-            live = [(A, y1) for A, y1 in carried if b1 < 2**exp_max // 4 or b1**y1 < A]
+            live = [(A, y1, rooted) for A, y1, rooted in carried
+                    if b1 < 2**exp_max // 4 or b1**y1 < A]
             if not live:
                 ended = b1
                 break
-            want += [A + b1**y1 for A, y1 in live if b1 > 1 or y1 == 1]
+            want += [A + b1**y1 for A, y1, rooted in live if rooted and (b1 > 1 or y1 == 1)]
         assert ended == ends_at
         assert sorted(formed) == sorted(want)
+
+
+@pytest.mark.slow
+def test_catalogue_box_at_exponent_seven_recalls_exactly_its_rows():
+    # two workers halve the wall time; the rows do not depend on the count
+    bounds = SearchBounds(g_max=10, a1_max=5, b1_max=500, exp_max=7)
+    rows = [n.as_tuple() for n in direct_search(bounds=bounds, workers=2)]
+    assert len(rows) == 10
+    assert rows == sorted(_box_rows(bounds))
 
 
 @pytest.mark.slow
