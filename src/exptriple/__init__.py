@@ -28,7 +28,7 @@ from .arith import (
 )
 from .catalog import KNOWN_ANOMALOUS, SEARCHED_RADICAL_BOUND, is_known_anomalous
 from .classify import PrimeType, TypeProfile, type_profile
-from .config import OUTPUT_FORMATS, RunConfig, SearchBounds, load_config
+from .config import RunConfig, SearchBounds
 from .errors import (
     FamilyConstraintError,
     InputDataError,
@@ -94,7 +94,6 @@ __all__ = [
     "InternalInvariantError",
     "KNOWN_ANOMALOUS",
     "NineTuple",
-    "OUTPUT_FORMATS",
     "PipelineOutcome",
     "PrimeType",
     "ProportionalityError",
@@ -130,7 +129,6 @@ __all__ = [
     "is_known_anomalous",
     "is_prime",
     "least_index",
-    "load_config",
     "lte_odd",
     "make_equation",
     "make_nine_tuple",

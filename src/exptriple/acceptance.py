@@ -460,16 +460,21 @@ def _fits_box(a: int, b: int, c: int, sols, bounds: SearchBounds) -> bool:
     return False
 
 
+def _row_fits_box(row: tuple[int, ...], bounds: SearchBounds) -> bool:
+    """Whether a nine-tuple row is an identity pair of the box in either base order."""
+    a, b, c, x1, y1, z1, x2, y2, z2 = row
+    sols = ((x1, y1, z1), (x2, y2, z2))
+    swapped = tuple((y, x, z) for x, y, z in sols)
+    return _fits_box(a, b, c, sols, bounds) or _fits_box(b, a, c, swapped, bounds)
+
+
 def _box_rows(bounds: SearchBounds) -> set[tuple[int, ...]]:
     """Canonical catalogue rows that the direct search box must recall."""
-    rows = set()
-    for row in KNOWN_ANOMALOUS_ROWS:
-        a, b, c, x1, y1, z1, x2, y2, z2 = row
-        sols = ((x1, y1, z1), (x2, y2, z2))
-        swapped = tuple((y, x, z) for x, y, z in sols)
-        if _fits_box(a, b, c, sols, bounds) or _fits_box(b, a, c, swapped, bounds):
-            rows.add(canonical_nine(make_nine_tuple(*row)).as_tuple())
-    return rows
+    return {
+        canonical_nine(make_nine_tuple(*row)).as_tuple()
+        for row in KNOWN_ANOMALOUS_ROWS
+        if _row_fits_box(row, bounds)
+    }
 
 
 def criterion_7() -> tuple[bool, str]:

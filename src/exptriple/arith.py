@@ -8,6 +8,7 @@ plain Python ints, no floating point is ever trusted for a final answer.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -20,20 +21,15 @@ _TRIAL_LIMIT = 10_000
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
+@functools.cache
 def _small_primes() -> tuple[int, ...]:
-    global _SMALL_PRIMES
-    try:
-        return _SMALL_PRIMES
-    except NameError:
-        pass
     limit = _TRIAL_LIMIT
     mark = bytearray([1]) * (limit + 1)
     mark[0] = mark[1] = 0
     for p in range(2, math.isqrt(limit) + 1):
         if mark[p]:
             mark[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    _SMALL_PRIMES = tuple(i for i in range(limit + 1) if mark[i])
-    return _SMALL_PRIMES
+    return tuple(i for i in range(limit + 1) if mark[i])
 
 
 def is_prime(n: int) -> bool:

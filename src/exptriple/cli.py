@@ -16,13 +16,12 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
 from typing import Sequence
 
 from .arith import as_power_of, two_adic
 from .catalog import is_known_anomalous
 from .classify import type_profile
-from .config import OUTPUT_FORMATS, RunConfig, load_config
+from .config import RunConfig, SearchBounds
 from .errors import (
     FamilyConstraintError,
     InputDataError,
@@ -141,20 +140,20 @@ def _emit_nine_rows(
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_enumerate(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> int:
     t = build_triple(args.a, args.b, args.c)
     with warnings.catch_warnings():
         # the warning below replaces the library's UserWarning for terminal use
         warnings.simplefilter("ignore")
-        sset = enumerate_solutions(t, config.max_bits)
+        sset = enumerate_solutions(t, args.max_bits)
     if sset.bound_too_small:
         print(
-            f"warning: {t.c} does not fit below 2^{config.max_bits}; "
+            f"warning: {t.c} does not fit below 2^{args.max_bits}; "
             "nothing enumerated (raise --max-bits)",
             file=sys.stderr,
         )
 
-    fmt = config.output_format
+    fmt = args.format
     class_index = {s: i for i, cls in enumerate(sset.classes, start=1) for s in cls}
     if fmt == "json-lines":
         for s in sset.solutions:
@@ -162,20 +161,20 @@ def cmd_enumerate(args: argparse.Namespace, config: RunConfig) -> int:
                 "a": t.a, "b": t.b, "c": t.c,
                 "x": s.x, "y": s.y, "z": s.z,
                 "class": class_index[s],
-                "bound_bits": config.max_bits,
+                "bound_bits": args.max_bits,
             }))
         return 0
     if fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(("a", "b", "c", "x", "y", "z", "class", "bound_bits"))
         for s in sset.solutions:
-            writer.writerow((t.a, t.b, t.c, s.x, s.y, s.z, class_index[s], config.max_bits))
+            writer.writerow((t.a, t.b, t.c, s.x, s.y, s.z, class_index[s], args.max_bits))
         return 0
 
     n = count_N(sset)
     print(
         f"solutions of {t.a}^x + {t.b}^y = {t.c}^z "
-        f"below 2^{config.max_bits}: {sset.raw_count}"
+        f"below 2^{args.max_bits}: {sset.raw_count}"
     )
     shared = t.has_shared_prime
     for s in sset.solutions:
@@ -204,7 +203,7 @@ def _nine_from_args(args: argparse.Namespace) -> NineTuple:
         raise InputDataError(str(exc)) from exc
 
 
-def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_classify(args: argparse.Namespace) -> int:
     nine = _nine_from_args(args)
     if math.gcd(nine.a, nine.b) == 1:
         raise InputDataError(
@@ -215,7 +214,7 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
         classification = classify_nine(nine)
     except ValueError as exc:
         raise InputDataError(str(exc)) from exc
-    _emit_nine_rows([(nine, classification)], config.output_format, None)
+    _emit_nine_rows([(nine, classification)], args.format, None)
     return 0
 
 
@@ -248,7 +247,7 @@ def _derive_w(tag: str, params: dict[str, int]) -> int:
     return w
 
 
-def cmd_family_gen(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_family_gen(args: argparse.Namespace) -> int:
     tag = args.tag.upper()
     if tag not in FAMILY_TAGS:
         raise UsageError(f"unknown family tag {args.tag!r}; choose from {', '.join(FAMILY_TAGS)}")
@@ -268,7 +267,7 @@ def cmd_family_gen(args: argparse.Namespace, config: RunConfig) -> int:
         raise InternalInvariantError(
             f"generated family {tag} member {nine.as_tuple()} failed membership"
         )
-    fmt = config.output_format
+    fmt = args.format
     if fmt == "human":
         print(f"family {tag} member ({_params_str(witness_params)}):")
         print(f"  ({nine.a}, {nine.b}, {nine.c}): {_nine_identities(nine)}")
@@ -277,7 +276,7 @@ def cmd_family_gen(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_family_check(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_family_check(args: argparse.Namespace) -> int:
     nine = _nine_from_args(args)
     if math.gcd(nine.a, nine.b) == 1:
         raise InputDataError(
@@ -287,7 +286,7 @@ def cmd_family_check(args: argparse.Namespace, config: RunConfig) -> int:
         classification = classify_nine(nine)
     except ValueError as exc:
         raise InputDataError(str(exc)) from exc
-    fmt = config.output_format
+    fmt = args.format
     if fmt == "human":
         print(f"({nine.a}, {nine.b}, {nine.c}) with {_nine_identities(nine)}:")
         print(f"  {_verdict_str(nine, classification)}")
@@ -296,29 +295,30 @@ def cmd_family_check(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def cmd_search_direct(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_search_direct(args: argparse.Namespace) -> int:
+    b = SearchBounds(a1_max=args.a1_max, g_max=args.g_max, b1_max=args.b1_max,
+                     exp_max=args.exp_max)
     with warnings.catch_warnings():
         # a library UserWarning (a discarded checkpoint) becomes one stderr line
         warnings.simplefilter("always")
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         rows = direct_search(
-            bounds=config.bounds,
-            max_bits=config.max_bits,
-            workers=config.worker_count,
+            bounds=b,
+            max_bits=args.max_bits,
+            workers=args.workers,
             checkpoint=args.checkpoint,
         )
-    b = config.bounds
     print(
         f"direct search (g <= {b.g_max}, a1 <= {b.a1_max}, b1 <= {b.b1_max}, "
         f"exponents <= {b.exp_max}): {len(rows)} anomalous triple(s)",
         file=sys.stderr,
     )
     items = [(nine, Classification("anomalous", None)) for nine in rows]
-    _emit_nine_rows(items, config.output_format, config.max_bits)
+    _emit_nine_rows(items, args.format, args.max_bits)
     return 0
 
 
-def cmd_search_pipeline(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_search_pipeline(args: argparse.Namespace) -> int:
     generating = args.rad_bound is not None or args.height_bound is not None
     if args.input is not None and generating:
         raise UsageError("give an equation file or generation bounds, not both")
@@ -337,15 +337,16 @@ def cmd_search_pipeline(args: argparse.Namespace, config: RunConfig) -> int:
         print(report.summary(), file=sys.stderr)
         records = list(report.records)
     else:
-        b = config.bounds
-        records = generate_equations(b.rad_bound, b.height_bound)
+        rad_bound = args.rad_bound or 100
+        height_bound = args.height_bound or 10_000
+        records = generate_equations(rad_bound, height_bound)
         print(
-            f"generated {len(records)} equation(s) with radical <= {b.rad_bound} "
-            f"and height <= {b.height_bound}",
+            f"generated {len(records)} equation(s) with radical <= {rad_bound} "
+            f"and height <= {height_bound}",
             file=sys.stderr,
         )
 
-    outcome = run_pipeline(records, config)
+    outcome = run_pipeline(records, RunConfig(max_bits=args.max_bits))
     stats = outcome.stats
     verified = stats.get("anomalous", 0) + stats.get("family", 0)
     print(
@@ -358,11 +359,11 @@ def cmd_search_pipeline(args: argparse.Namespace, config: RunConfig) -> int:
         (nine, Classification("anomalous", None)) for nine in outcome.anomalous
     ]
     items.extend(outcome.family)
-    _emit_nine_rows(items, config.output_format, config.max_bits)
+    _emit_nine_rows(items, args.format, args.max_bits)
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     from .acceptance import CHECKS, run_check
 
     failures = 0
@@ -382,15 +383,15 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
 
 def _add_format_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--format", choices=OUTPUT_FORMATS, default=None,
-        help="output format (default: EXPTRIPLE_FORMAT or human)",
+        "--format", choices=("json-lines", "csv", "human"), default="human",
+        help="output format (default: %(default)s)",
     )
 
 
 def _add_max_bits_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--max-bits", type=_positive_int, default=None,
-        help="bit budget for enumerated and verified values",
+        "--max-bits", type=_positive_int, default=128,
+        help="bit budget for enumerated and verified values (default: %(default)s)",
     )
 
 
@@ -442,11 +443,12 @@ def build_parser() -> _Parser:
     ssub = search.add_subparsers(dest="search_command", required=True)
 
     p = ssub.add_parser("direct", help="scan the full identity box")
-    p.add_argument("--a1-max", dest="a1_max", type=_positive_int, default=None)
-    p.add_argument("--g-max", dest="g_max", type=_positive_int, default=None)
-    p.add_argument("--b1-max", dest="b1_max", type=_positive_int, default=None)
-    p.add_argument("--exp-max", dest="exp_max", type=_positive_int, default=None)
-    p.add_argument("--workers", type=_positive_int, default=None)
+    box = SearchBounds()
+    p.add_argument("--a1-max", dest="a1_max", type=_positive_int, default=box.a1_max)
+    p.add_argument("--g-max", dest="g_max", type=_positive_int, default=box.g_max)
+    p.add_argument("--b1-max", dest="b1_max", type=_positive_int, default=box.b1_max)
+    p.add_argument("--exp-max", dest="exp_max", type=_positive_int, default=box.exp_max)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--checkpoint", default=None, help="journal file for resumable runs")
     _add_max_bits_flag(p)
     _add_format_flag(p)
@@ -478,32 +480,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates: dict[str, object] = {}
-    for attr, field_name in (
-        ("max_bits", "max_bits"),
-        ("workers", "worker_count"),
-        ("format", "output_format"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            updates[field_name] = value
-    bound_updates = {
-        name: getattr(args, name)
-        for name in ("a1_max", "g_max", "b1_max", "exp_max", "rad_bound", "height_bound")
-        if getattr(args, name, None) is not None
-    }
-    if bound_updates:
-        updates["bounds"] = replace(config.bounds, **bound_updates)
-    return replace(config, **updates) if updates else config
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _apply_overrides(load_config(), args)
-        return args.func(args, config)
+        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

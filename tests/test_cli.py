@@ -1,7 +1,7 @@
 """End-to-end checks of the command line front end.
 
 Each test drives main() with an argv list and inspects exit code,
-stdout and stderr, so the full parse / config / dispatch / render path
+stdout and stderr, so the full parse / dispatch / render path
 runs exactly as a shell invocation would.
 """
 
@@ -15,9 +15,11 @@ from pathlib import Path
 
 import pytest
 
+import exptriple.cli as cli_module
 import exptriple.search as search_module
 from exptriple.acceptance import CheckResult
 from exptriple.cli import JSON_FIELDS, main
+from exptriple.config import SearchBounds
 
 TINY_BOX = ("--a1-max", "6", "--g-max", "6", "--b1-max", "60",
             "--exp-max", "5", "--max-bits", "64")
@@ -441,38 +443,38 @@ class TestSearchPipeline:
         assert "internal invariant violated: reconstructed solution" in err
 
 
-class TestConfigPrecedence:
-    def test_env_sets_format(self, capsys, monkeypatch):
+class TestDefaults:
+    def test_environment_changes_nothing(self, capsys, monkeypatch):
+        _, plain, _ = run(capsys, "enumerate", "3", "5", "2")
         monkeypatch.setenv("EXPTRIPLE_FORMAT", "csv")
-        code, out, _ = run(capsys, "enumerate", "3", "5", "2", "--max-bits", "64")
-        assert code == 0
-        assert out.splitlines()[0] == "a,b,c,x,y,z,class,bound_bits"
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("EXPTRIPLE_FORMAT", "csv")
-        code, out, _ = run(capsys, "enumerate", "3", "5", "2",
-                           "--max-bits", "64", "--format", "human")
-        assert code == 0
-        assert "N = 3" in out
-
-    def test_env_sets_max_bits(self, capsys, monkeypatch):
         monkeypatch.setenv("EXPTRIPLE_MAX_BITS", "64")
-        code, out, _ = run(capsys, "enumerate", "3", "5", "2",
-                           "--format", "json-lines")
+        code, out, _ = run(capsys, "enumerate", "3", "5", "2")
         assert code == 0
-        assert json.loads(out.splitlines()[0])["bound_bits"] == 64
+        assert out == plain
 
-    def test_max_bits_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("EXPTRIPLE_MAX_BITS", "64")
-        code, out, _ = run(capsys, "enumerate", "3", "5", "2",
-                           "--max-bits", "32", "--format", "json-lines")
+    def test_max_bits_defaults_to_128(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "3", "5", "2", "--format", "json-lines")
         assert code == 0
-        assert json.loads(out.splitlines()[0])["bound_bits"] == 32
+        assert {json.loads(line)["bound_bits"] for line in out.splitlines()} == {128}
 
-    def test_bad_env_value_is_usage(self, capsys, monkeypatch):
-        monkeypatch.setenv("EXPTRIPLE_MAX_BITS", "plenty")
-        code, _, err = run(capsys, "enumerate", "3", "5", "2")
-        assert code == 1
+    def test_pipeline_generation_defaults(self, capsys):
+        code, _, err = run(capsys, "search", "pipeline")
+        assert code == 0
+        assert "radical <= 100 and height <= 10000" in err
+
+    def test_direct_search_defaults(self, capsys, monkeypatch):
+        seen = {}
+
+        def fake_search(**kwargs):
+            seen.update(kwargs)
+            return []
+
+        monkeypatch.setattr(cli_module, "direct_search", fake_search)
+        code, out, _ = run(capsys, "search", "direct")
+        assert code == 0
+        assert out == ""
+        assert seen == {"bounds": SearchBounds(), "max_bits": 128, "workers": 1,
+                        "checkpoint": None}
 
 
 class TestVerifySubcommand:

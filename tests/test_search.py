@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from exptriple.acceptance import _box_rows
+from exptriple.acceptance import _box_rows, _row_fits_box
 from exptriple.arith import introot, is_prime, perfect_powers, radical
 from exptriple.catalog import KNOWN_ANOMALOUS_ROWS, is_known_anomalous
 from exptriple.config import SearchBounds
@@ -1064,3 +1064,33 @@ def test_catalogue_box_recalls_all_ten_rows():
         for row in KNOWN_ANOMALOUS_ROWS
     )
     assert [n.as_tuple() for n in direct_search(bounds=bounds)] == want
+
+
+def _box_sums(bounds):
+    """Every carrier "a" and carrier "b" sum of the box, as a coprime equation."""
+    exps = range(1, bounds.exp_max + 1)
+    sums = set()
+    for g in range(2, bounds.g_max + 1):
+        for a1 in range(1, bounds.a1_max + 1):
+            if math.gcd(a1, g) != 1:
+                continue
+            for b1 in range(1 if a1 > 1 else 2, bounds.b1_max + 1):
+                if math.gcd(b1, g * a1) != 1:
+                    continue
+                for w, x, y in itertools.product(exps, repeat=3):
+                    sums.add((g**w * a1**x, b1**y))
+                    sums.add((a1**x, g**w * b1**y))
+    return [make_equation(A, B, A + B) for A, B in sorted(sums)]
+
+
+@pytest.mark.parametrize("g_max, a1_max, b1_max, exp_max",
+                         [(3, 3, 10, 3), (4, 4, 20, 3), (6, 6, 12, 3)])
+def test_pipeline_on_the_box_sums_agrees_with_the_direct_search(g_max, a1_max, b1_max, exp_max):
+    # the two front ends pair the same identities, so on the box's own sums
+    # the pipeline's rows that fit the box are exactly the direct search's
+    bounds = SearchBounds(a1_max=a1_max, g_max=g_max, b1_max=b1_max, exp_max=exp_max)
+    outcome = run_pipeline(_box_sums(bounds))
+    in_box = [n.as_tuple() for n in outcome.anomalous if _row_fits_box(n.as_tuple(), bounds)]
+    direct = [n.as_tuple() for n in direct_search(bounds=bounds)]
+    assert len(direct) == 2
+    assert in_box == direct
