@@ -12,6 +12,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from itertools import product
 
 from .arith import (
     as_power_of,
@@ -461,11 +462,24 @@ def _fits_box(a: int, b: int, c: int, sols, bounds: SearchBounds) -> bool:
 
 
 def _row_fits_box(row: tuple[int, ...], bounds: SearchBounds) -> bool:
-    """Whether a nine-tuple row is an identity pair of the box in either base order."""
+    """Whether a nine-tuple row is an identity pair of the box in either base order.
+
+    canonical_nine reduces every base to its primitive root, so a row's
+    base may enter the box as a power: a as a^i for each i dividing both
+    x1 and x2, and b and c likewise.  Each of these forms is tried.
+    """
     a, b, c, x1, y1, z1, x2, y2, z2 = row
-    sols = ((x1, y1, z1), (x2, y2, z2))
-    swapped = tuple((y, x, z) for x, y, z in sols)
-    return _fits_box(a, b, c, sols, bounds) or _fits_box(b, a, c, swapped, bounds)
+    powers = [
+        [k for k in range(1, n + 1) if n % k == 0]
+        for n in (math.gcd(x1, x2), math.gcd(y1, y2), math.gcd(z1, z2))
+    ]
+    for i, j, k in product(*powers):
+        sols = ((x1 // i, y1 // j, z1 // k), (x2 // i, y2 // j, z2 // k))
+        swapped = tuple((y, x, z) for x, y, z in sols)
+        A, B, C = a**i, b**j, c**k
+        if _fits_box(A, B, C, sols, bounds) or _fits_box(B, A, C, swapped, bounds):
+            return True
+    return False
 
 
 def _box_rows(bounds: SearchBounds) -> set[tuple[int, ...]]:

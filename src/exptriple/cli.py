@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import warnings
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .arith import as_power_of, two_adic
 from .catalog import is_known_anomalous
@@ -55,14 +55,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type for a decimal integer of at least low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text, 10)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            wanted = "positive" if low == 1 else f"at least {low}"
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +454,7 @@ def build_parser() -> _Parser:
     p = ssub.add_parser("direct", help="scan the full identity box")
     box = SearchBounds()
     p.add_argument("--a1-max", dest="a1_max", type=_positive_int, default=box.a1_max)
-    p.add_argument("--g-max", dest="g_max", type=_positive_int, default=box.g_max)
+    p.add_argument("--g-max", dest="g_max", type=_int_at_least(2), default=box.g_max)
     p.add_argument("--b1-max", dest="b1_max", type=_positive_int, default=box.b1_max)
     p.add_argument("--exp-max", dest="exp_max", type=_positive_int, default=box.exp_max)
     p.add_argument("--workers", type=_positive_int, default=1)
@@ -460,11 +469,11 @@ def build_parser() -> _Parser:
         help="file of 'A B C' lines with A + B = C and gcd(A, B) = 1",
     )
     p.add_argument(
-        "--gen-rad", dest="rad_bound", type=_positive_int, default=None,
+        "--gen-rad", dest="rad_bound", type=_int_at_least(6), default=None,
         help="generate equations with radical up to this bound",
     )
     p.add_argument(
-        "--gen-height", dest="height_bound", type=_positive_int, default=None,
+        "--gen-height", dest="height_bound", type=_int_at_least(2), default=None,
         help="generate equations with C up to this bound",
     )
     _add_max_bits_flag(p)

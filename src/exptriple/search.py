@@ -662,15 +662,19 @@ def _exponent_plan(
 
 
 @functools.cache
-def _cell_patterns(exp_max: int, unit_a1: bool) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
+def _cell_patterns(
+    exp_max: int, unit_a1: bool,
+) -> tuple[tuple[tuple, ...], tuple[tuple[int, int, frozenset], ...], tuple[int | None, ...]]:
     """The exponent patterns that a cell forms, and what each left one needs.
 
     Returns the carrier "a" patterns of _exponent_plan as (y1, w1, x1,
     the ascending z2 values for z1 = 1, those values by z1, the largest
     z1, whether a square, a cube, a fifth root or a root that no inline
-    sieve covers is wanted) and its carrier "b" patterns as (y2, x2, w2).
-    x is None for a unit a1.  _search_unit retires a carrier "a" pattern
-    once b1 outgrows it.
+    sieve covers is wanted), its carrier "b" patterns grouped by (w2, y2)
+    as (y2, w2, the set of their x2), and the x2 of those groups in
+    ascending order.  At exp_max 6 the 155 carrier "b" patterns of a1 > 1
+    fall into 36 groups over 6 values of x2.  x is None for a unit a1.
+    _search_unit retires a carrier "a" pattern once b1 outgrows it.
     """
     left_plan, right_plan = _exponent_plan(exp_max, unit_a1)
     lefts = []
@@ -680,25 +684,42 @@ def _cell_patterns(exp_max: int, unit_a1: bool) -> tuple[tuple[tuple, ...], tupl
         least = {next(p for p in range(2, z + 1) if z % p == 0) for z in walks if z > 1}
         lefts.append((y1, w1, x1, walks.get(1, ()), walks, max(walks),
                       2 in least, 3 in least, 5 in least, max(least, default=0) >= 7))
-    return tuple(lefts), tuple((y2, x2, w2) for x2, w2, y2 in right_plan)
+    groups: dict[tuple[int, int], set[int | None]] = {}
+    for x2, w2, y2 in right_plan:
+        groups.setdefault((y2, w2), set()).add(x2)
+    x2s = {x2 for x2, _, _ in right_plan}
+    return (
+        tuple(lefts),
+        tuple((y2, w2, frozenset(groups[y2, w2])) for y2, w2 in sorted(groups)),
+        tuple(sorted(x2s)),
+    )
 
 
 def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ...]]:
     """Scan one (g, a1) cell of the box and return anomalous nine-tuples.
 
     The cell is streamed one b1 at a time, and only that b1's data is
-    held.  First the carrier "b" sums a1^x2 + g^w2 * b1^y2 are filed by
-    value; they are never root-tested.  Then each carrier "a" sum
-    g^w1 * a1^x1 + b1^y1 is taken as c1^z1, itself with z1 = 1 and each
-    root that perfect_powers finds, and each power c1^z2 up to the
-    largest carrier "b" sum is looked up among them.  Every identity
-    pair that meets this way is solved and verified.
+    held.  Each carrier "a" sum g^w1 * a1^x1 + b1^y1 is taken as c1^z1,
+    itself with z1 = 1 and each root that perfect_powers finds, and each
+    power c1^z2 up to a bound on the carrier "b" sums is matched against
+    them.  Every identity pair that meets this way is solved and
+    verified.
+
+    The carrier "b" sums R = a1^x2 + g^w2 * b1^y2 are never formed.  Each
+    planned one has w2, y2 >= 1, so R = a1^x2 (mod g * b1), and since
+    gcd(g, b1) = 1 and g >= 2 the product g^w2 * b1^y2 fixes (w2, y2) (a
+    unit b1 forms only y2 = 1).  So c1^z2 is a planned sum exactly when
+    c1^z2 mod g * b1 is the residue of some a1^x2 and c1^z2 - a1^x2 is a
+    product g^w2 * b1^y2 whose (w2, y2) group holds that x2.  Per b1 the
+    cell keeps the residues of the a1^x2 and the products of the groups;
+    the largest product plus the largest a1^x2 bounds every carrier "b"
+    sum and ends the walk over z2.
 
     Only the exponent patterns of _exponent_plan are formed, for every
     a1 and every exp_max.  A carrier "a" sum is taken as c1^z1 only for
-    the z1 its pattern admits, c1^z2 is looked up only for the z2 that
-    go with that z1, and only the inline sieves that those z1 need run
-    in front of perfect_powers.  The sieves stop at fifth powers, so a
+    the z1 its pattern admits, c1^z2 is matched only for the z2 that go
+    with that z1, and only the inline sieves that those z1 need run in
+    front of perfect_powers.  The sieves stop at fifth powers, so a
     pattern that admits a z1 whose least prime is 7 or more hands every
     sum to perfect_powers.  The patterns left out are exactly those that
     pair_and_solve would reject.
@@ -717,12 +738,22 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
     a_pows = {None: 1} if a1 == 1 else {x: a1**x for x in range(1, exp_max + 1)}
     floor = max(2, 2**exp_max // 4)
 
-    left_patterns, right_patterns = _cell_patterns(exp_max, a1 == 1)
+    left_patterns, right_groups, x2s = _cell_patterns(exp_max, a1 == 1)
     lefts = [(y1, w1, x1, g_pows[w1] * a_pows[x1], *needs)
              for y1, w1, x1, *needs in left_patterns]
-    rights = [(y2, x2, w2, a_pows[x2], g_pows[w2]) for y2, x2, w2 in right_patterns]
+    a_top = max((a_pows[x2] for x2 in x2s), default=0)
 
     rows: set[tuple[int, ...]] = set()
+
+    def match(power: int, xs: list[int | None]) -> list[tuple[int | None, int, int]]:
+        # the right patterns of the current b1 whose sum is power, given the
+        # x2 whose a1^x2 has the residue of power modulo g * b1
+        hits = []
+        for x2 in xs:
+            w2, y2, planned = products.get(power - a_pows[x2], (0, 0, ()))
+            if x2 in planned:
+                hits.append((x2, w2, y2))
+        return hits
 
     def meet(left: Identity, z2: int, hits: list[tuple[int | None, int, int]]) -> None:
         # left is c1^z1, and hits are the right patterns whose sum is c1^z2
@@ -742,13 +773,17 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
         y_max = 1 if b1 == 1 else exp_max
         b_pows = [b1**y for y in range(y_max + 1)]
 
-        right_sums: dict[int, list[tuple[int | None, int, int]]] = {}
-        for y2, x2, w2, pure, g_w in rights:
-            if y2 <= y_max:
-                right_sums.setdefault(pure + g_w * b_pows[y2], []).append((x2, w2, y2))
-        if not right_sums:
+        products: dict[int, tuple[int, int, frozenset]] = {
+            g_pows[w2] * b_pows[y2]: (w2, y2, planned)
+            for y2, w2, planned in right_groups if y2 <= y_max
+        }
+        if not products:
             continue
-        top = max(right_sums)
+        top = max(products) + a_top
+        modulus = g * b1
+        residues: dict[int, list[int | None]] = {}
+        for x2 in x2s:
+            residues.setdefault(a_pows[x2] % modulus, []).append(x2)
 
         retired = False
         for y1, w1, x1, carried, self_walk, walks, z_top, sq, cu, fi, bare in lefts:
@@ -762,8 +797,8 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
                 power = t**z2
                 if power > top:
                     break
-                if power in right_sums:
-                    meet(Identity("a", g, w1, a1, x1, b1, y1, t, 1), z2, right_sums[power])
+                if (xs := residues.get(power % modulus)) and (hits := match(power, xs)):
+                    meet(Identity("a", g, w1, a1, x1, b1, y1, t, 1), z2, hits)
             if bare or (
                 (sq and _SQ64[t & 63] and _SQ63[t % 63] and _SQ65[t % 65] and _SQ11[t % 11])
                 or (cu and _CU63[t % 63] and _CU91[t % 91] and _CU37[t % 37])
@@ -774,9 +809,8 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
                         power = c1**z2
                         if power > top:
                             break
-                        if power in right_sums:
-                            left = Identity("a", g, w1, a1, x1, b1, y1, c1, z1)
-                            meet(left, z2, right_sums[power])
+                        if (xs := residues.get(power % modulus)) and (hits := match(power, xs)):
+                            meet(Identity("a", g, w1, a1, x1, b1, y1, c1, z1), z2, hits)
         if retired and not (lefts := [p for p in lefts if b_pows[p[0]] < p[3]]):
             break
     return sorted(rows)

@@ -363,6 +363,12 @@ class TestSearchDirect:
         assert code == 1
         assert "positive" in err
 
+    def test_g_max_below_two_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "search", "direct", "--g-max", "1")
+        assert code == 1
+        assert out == ""
+        assert "argument --g-max: must be at least 2, got 1" in err
+
     def test_human_rows_name_the_catalogue(self, capsys):
         code, out, _ = run(capsys, "search", "direct", *TINY_BOX)
         assert code == 0
@@ -409,6 +415,15 @@ class TestSearchPipeline:
                            "--gen-rad", "50")
         assert code == 1
         assert "not both" in err
+
+    @pytest.mark.parametrize(
+        ("flag", "value", "low"), [("--gen-rad", "5", 6), ("--gen-height", "1", 2)]
+    )
+    def test_generation_bound_too_small_names_the_flag(self, capsys, flag, value, low):
+        code, out, err = run(capsys, "search", "pipeline", flag, value)
+        assert code == 1
+        assert out == ""
+        assert f"argument {flag}: must be at least {low}, got {value}" in err
 
     def test_generated_equations(self, capsys):
         code, out, err = run(capsys, "search", "pipeline",

@@ -7,7 +7,7 @@ import warnings
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from exptriple.acceptance import _box_rows, _row_fits_box
@@ -22,6 +22,7 @@ from exptriple.search import (
     EquationRecord,
     Identity,
     SolvedSystem,
+    _cell_patterns,
     _exponent_plan,
     _search_unit,
     decompose,
@@ -818,9 +819,11 @@ def _naive_roots(n, exp_cap):
     ]
 
 
-def _bucket_scan(g, a1, bounds, max_bits):
+def _bucket_scan(g, a1, bounds, max_bits, tried=None):
     """Reference cell scan: every sum on both sides is root-tested and
-    bucketed by (b1, c1), then the shared buckets are paired."""
+    bucketed by (b1, c1), then the shared buckets are paired.  The dict
+    tried, if given, maps each pair handed to pair_and_solve to its
+    system, None when the pair is rejected."""
     exp_max = bounds.exp_max
     g_pows = [g**w for w in range(exp_max + 1)]
     if a1 == 1:
@@ -869,6 +872,8 @@ def _bucket_scan(g, a1, bounds, max_bits):
             for x2, w2, y2, z2 in bucket54[(b1, c1)]:
                 right = Identity("b", g, w2, a1, x2, b1, y2, c1, z2)
                 system, _ = pair_and_solve(left, right)
+                if tried is not None:
+                    tried[left, right] = system
                 if system is None:
                     continue
                 result = reconstruct_and_verify(left, right, system, max_bits)
@@ -910,6 +915,48 @@ class TestCellScan:
         got = _search_unit((g, a1, bounds, 128))
         assert len(got) == n_rows
         assert got == _bucket_scan(g, a1, bounds, 128)
+
+    # b1 = 1 with a1 > 1, unit a1, residues of 3^x2 that collide modulo
+    # g * b1 = 2 (b1 = 1), a power that is two carrier "b" sums (3, 2, 40, 7),
+    # a residue that two a1^x2 share where the larger x2 meets (4, 3, 40, 7),
+    # and a row found at both b1 = 7 and b1 = 49 (10, 3, 50, 6)
+    @pytest.mark.parametrize(
+        ("g", "a1", "b1_max", "exp_max", "n_solved"),
+        [(3, 2, 20, 5, 2), (3, 1, 30, 5, 3), (2, 3, 12, 6, 0), (3, 2, 40, 7, 2),
+         (4, 3, 40, 7, 0), (2, 1, 40, 7, 2), (10, 3, 50, 6, 2)],
+    )
+    def test_pairs_what_bucket_scan_pairs(self, monkeypatch, g, a1, b1_max, exp_max, n_solved):
+        # rows hide family members, rejected candidates and a row met twice;
+        # the pairs handed to pair_and_solve show every match the cell made
+        calls, solved = [], set()
+
+        def recording(left, right):
+            calls.append((left, right))
+            system, why = pair_and_solve(left, right)
+            if system is not None:
+                solved.add((left, right))
+            return system, why
+
+        monkeypatch.setattr(search_module, "pair_and_solve", recording)
+        bounds = SearchBounds(a1_max=a1, g_max=g, b1_max=b1_max, exp_max=exp_max)
+        _search_unit((g, a1, bounds, 128))
+        tried = {}
+        _bucket_scan(g, a1, bounds, 128, tried)
+
+        left_plan, right_plan = _exponent_plan(exp_max, a1 == 1)
+        zs_of, rights = dict(left_plan), set(right_plan)
+
+        def formed(left, right):
+            # both patterns planned, and the left one not retired at its b1
+            A = g**left.w * (1 if left.x is None else a1**left.x)
+            return ((left.z, right.z) in zs_of.get((left.w, left.x, left.y), ())
+                    and (right.x, right.w, right.y) in rights
+                    and (left.b1 < 2**exp_max // 4 or left.b1**left.y < A))
+
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {pair for pair in tried if formed(*pair)}
+        assert len(solved) == n_solved
+        assert solved == {pair for pair, system in tried.items() if system is not None}
 
 
 def _accepted_pairs(exp_max):
@@ -981,6 +1028,30 @@ class TestExponentPlan:
         assert sum(len({z1 for z1, _ in zs}) for _, zs in lefts) == 527
         assert sum(any(z1 == 1 for z1, _ in zs) for _, zs in lefts) == 99
         assert sum(len(zs) for _, zs in lefts) == 1396
+
+    @pytest.mark.parametrize("exp_max", [1, 2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("unit_a1", [False, True])
+    def test_right_patterns_carry_g_and_b1(self, exp_max, unit_a1):
+        # the cell's residue test needs g^w2 * b1^y2 = 0 modulo g * b1
+        _, rights = _exponent_plan(exp_max, unit_a1)
+        for x2, w2, y2 in rights:
+            assert w2 >= 1 and y2 >= 1
+            assert (x2 is None) == unit_a1
+
+    @pytest.mark.parametrize("exp_max", [1, 2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("unit_a1", [False, True])
+    def test_cell_groups_the_right_patterns_by_w2_and_y2(self, exp_max, unit_a1):
+        _, rights = _exponent_plan(exp_max, unit_a1)
+        _, groups, x2s = _cell_patterns(exp_max, unit_a1)
+        assert len(groups) == len({(y2, w2) for y2, w2, _ in groups})
+        assert {(x2, w2, y2) for y2, w2, planned in groups for x2 in planned} == set(rights)
+        assert set(x2s) == {x2 for x2, _, _ in rights}
+
+    def test_right_groups_at_exponent_six(self):
+        _, groups, x2s = _cell_patterns(6, False)
+        assert sum(len(planned) for _, _, planned in groups) == 155
+        assert len(groups) == 36
+        assert x2s == (1, 2, 3, 4, 5, 6)
 
 
 class TestRetirement:
@@ -1094,3 +1165,19 @@ def test_pipeline_on_the_box_sums_agrees_with_the_direct_search(g_max, a1_max, b
     direct = [n.as_tuple() for n in direct_search(bounds=bounds)]
     assert len(direct) == 2
     assert in_box == direct
+
+
+@given(
+    g_max=st.integers(min_value=2, max_value=5),
+    a1_max=st.integers(min_value=1, max_value=5),
+    b1_max=st.integers(min_value=1, max_value=15),
+    exp_max=st.integers(min_value=1, max_value=3),
+)
+# (3, 6, 15, 2, 1, 1, 2, 3, 2) fits this box only with 3^2 = 9 = g^2 * b1 as a base
+@example(g_max=3, a1_max=2, b1_max=1, exp_max=3)
+@settings(max_examples=15, deadline=None)
+def test_pipeline_on_random_box_sums_agrees_with_the_direct_search(g_max, a1_max, b1_max, exp_max):
+    bounds = SearchBounds(a1_max=a1_max, g_max=g_max, b1_max=b1_max, exp_max=exp_max)
+    outcome = run_pipeline(_box_sums(bounds))
+    in_box = [n.as_tuple() for n in outcome.anomalous if _row_fits_box(n.as_tuple(), bounds)]
+    assert in_box == [n.as_tuple() for n in direct_search(bounds=bounds)]
