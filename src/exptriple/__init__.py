@@ -27,7 +27,7 @@ from .arith import (
     valuation,
 )
 from .catalog import KNOWN_ANOMALOUS, SEARCHED_RADICAL_BOUND, is_known_anomalous
-from .classify import PrimeType, TypeProfile, type_profile
+from .classify import TypeProfile, type_profile
 from .config import RunConfig, SearchBounds
 from .errors import (
     FamilyConstraintError,
@@ -95,7 +95,6 @@ __all__ = [
     "KNOWN_ANOMALOUS",
     "NineTuple",
     "PipelineOutcome",
-    "PrimeType",
     "ProportionalityError",
     "ReconstructionResult",
     "RunConfig",

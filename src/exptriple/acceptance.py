@@ -19,7 +19,6 @@ from .arith import (
     least_index,
     lte_odd,
     power_representations,
-    prime_set,
     same_prime_set_scan,
     two_adic,
     two_adic_profile,
@@ -37,7 +36,6 @@ from .solve import (
     detect_special_case,
     enumerate_solutions,
     make_solution,
-    power_of_two_solutions,
 )
 from .triple import build_triple, g_decomposition
 

@@ -281,7 +281,7 @@ def perfect_powers(n: int, max_exp: int) -> list[tuple[int, int]]:
     return [(found[e], e) for e in sorted(found)] if found else []
 
 
-def power_representations(n: int, max_exp: int | None = None) -> list[tuple[int, int]]:
+def power_representations(n: int) -> list[tuple[int, int]]:
     """All pairs (base, e) with base**e == n and e >= 1, exponent 1 included.
 
     Pairs come by ascending exponent, and n = 1 yields only the
@@ -291,7 +291,7 @@ def power_representations(n: int, max_exp: int | None = None) -> list[tuple[int,
         raise ValueError(f"need a positive integer, got {n}")
     if n == 1:
         return [(1, 1)]
-    return [(n, 1)] + perfect_powers(n, n.bit_length() if max_exp is None else max_exp)
+    return [(n, 1)] + perfect_powers(n, n.bit_length())
 
 
 def least_index(R: int, S: int, M: int, eps: int, cap: int = 10**6) -> int | None:

@@ -23,24 +23,13 @@ from .triple import Triple
 
 
 @dataclass(frozen=True)
-class PrimeType:
-    """Tag of one solution at one shared prime, with the compared values."""
-
-    p: int
-    tag: str
-    compared: tuple[int, int, int]
-
-
-@dataclass(frozen=True)
 class TypeProfile:
     """Tags of one solution at every shared prime of its triple."""
 
-    triple: Triple
-    solution: Solution
-    by_prime: dict[int, PrimeType]
+    by_prime: dict[int, str]
 
     def tag(self, p: int) -> str:
-        return self.by_prime[p].tag
+        return self.by_prime[p]
 
 
 def _lenient_tag(compared: tuple[int, int, int]) -> str | None:
@@ -74,6 +63,6 @@ def type_profile(t: Triple, s: Solution) -> TypeProfile:
             raise InternalInvariantError(
                 f"at prime {p} the valuations {compared} have no equal smallest pair"
             )
-        by_prime[p] = PrimeType(p, tag, compared)
-    return TypeProfile(t, s, by_prime)
+        by_prime[p] = tag
+    return TypeProfile(by_prime)
 

@@ -5,7 +5,8 @@ classify wrap single-triple analysis, family wraps the generators and
 the membership test, search wraps the two search drivers, and
 verify-paper runs the acceptance suite.  Exit codes: 0 success, 1 usage
 error, 2 input data error, 3 internal invariant failure, 4 acceptance
-criteria failed.
+criteria failed, 130 interrupted (Ctrl-C), 141 stdout closed by its
+reader (a broken pipe).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import warnings
 from typing import Callable, Sequence
@@ -493,7 +495,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; keep the flush at exit from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

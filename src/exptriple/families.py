@@ -20,16 +20,17 @@ Family IV requires g > 1; allowing g = 1 would reproduce every family I
 member with shifted parameters, so the constraint keeps I and IV
 disjoint.
 
-Membership comes in two strengths, both decided by one extractor per
-family.  Given the two term multisets of a nine-tuple's solutions, an
-extractor yields every parameter map whose member has exactly those
-multisets; each parameter is pinned down by exact root and valuation
-extractions from the term values, so running out of maps is a
-definitive "not in the family", not a search giving up.  in_family
-asks the extractors about the input's multisets in either solution
-order; in_F, which asks whether the ordered nine-tuple literally equals
-a generated member, is a filter on the same maps.  Both report the
-lexicographically least map.
+Membership comes in two strengths, both decided by the generators.
+Given the two term multisets of a nine-tuple's solutions, a proposer
+per family reads candidate parameter maps off the term values by exact
+root and valuation extractions, checking no family constraint itself;
+gen_family rejects every map that breaks one, and a map is kept only
+when its member has exactly the given multisets.  Each parameter is
+pinned down by the terms, so running out of maps is a definitive "not
+in the family", not a search giving up.  in_family asks about the
+input's multisets in either solution order; in_F, which asks whether
+the ordered nine-tuple literally equals a generated member, keeps only
+the members equal to it.  Both report the lexicographically least map.
 """
 
 from __future__ import annotations
@@ -240,13 +241,6 @@ def _gen_iv(
     )
 
 
-def _iv_full_params(params: dict[str, int]) -> dict[str, int]:
-    out = dict(params)
-    out["h"] = two_adic(2 * params["d"] + 2)
-    out["v"] = two_adic(params["k"])
-    return out
-
-
 def _param_key(params: dict[str, int]) -> tuple[int, ...]:
     # lexicographic order over alphabetically sorted parameter names
     return tuple(params[k] for k in sorted(params))
@@ -260,7 +254,7 @@ def _try_gen(tag: str, params: dict[str, int]) -> NineTuple | None:
 
 
 # ---------------------------------------------------------------------------
-# membership: one parameter extractor per family behind in_F and in_family
+# membership: the proposers suggest parameter maps, gen_family decides
 # ---------------------------------------------------------------------------
 
 # a parameter map and the member it generates
@@ -270,15 +264,15 @@ _Found = tuple[dict[str, int], NineTuple]
 def in_F(nine: NineTuple) -> FamilyWitness | None:
     """Exact membership: does the ordered nine-tuple equal a member?
 
-    A filter on the family extractors: of the parameter maps whose member
-    has the tuple's term multisets, keep those whose member equals the
-    tuple itself.  When several maps regenerate the same member (a base
-    can be a perfect power in more than one way), the lexicographically
-    least map wins, comparing values in alphabetical parameter order.
+    Of the generated members whose term multisets are the tuple's, keep
+    those that equal the tuple itself.  When several maps regenerate the
+    same member (a base can be a perfect power in more than one way), the
+    lexicographically least map wins, comparing values in alphabetical
+    parameter order.
     """
     pairs = nine.term_pairs()
-    for tag, extract in _EXTRACTORS:
-        best = _least(found for found in extract(*pairs) if found[1] == nine)
+    for tag in FAMILY_TAGS:
+        best = _least(found for found in _members(tag, *pairs) if found[1] == nine)
         if best is not None:
             return FamilyWitness(tag, best[0], nine, (0, 1))
     return None
@@ -296,9 +290,9 @@ def in_family(nine: NineTuple) -> FamilyWitness | None:
     """
     first, second = nine.term_pairs()
     pairings = (((first, second), (0, 1)), ((second, first), (1, 0)))
-    for tag, extract in _EXTRACTORS:
+    for tag in FAMILY_TAGS:
         for pair, matching in pairings:
-            best = _least(extract(*pair))
+            best = _least(_members(tag, *pair))
             if best is not None:
                 return FamilyWitness(tag, best[0], best[1], matching)
     return None
@@ -308,126 +302,85 @@ def _least(found: Iterator[_Found]) -> _Found | None:
     return min(found, key=lambda pm: _param_key(pm[0]), default=None)
 
 
-def _member_i(first: tuple[int, int], second: tuple[int, int]) -> Iterator[_Found]:
-    # first should be {2^(u+1), 2^u (2^(h-1) - 1)}
+def _members(
+    tag: str, first: tuple[int, int], second: tuple[int, int]
+) -> Iterator[_Found]:
+    """Every (params, member) of the family whose member's term_pairs()
+    equal (first, second).
+
+    The proposer only reads candidate maps off the terms; gen_family
+    rejects every map that breaks a family constraint, and the term
+    comparison rejects every member that is not the input's.
+    """
     for p, q in (first, first[::-1]):
-        e = as_power_of(2, p)
-        if e is None or e < 2:
-            continue
-        u = e - 1
-        if q % (1 << u):
-            continue
-        half = (q >> u) + 1         # 2^(h-1)
-        hm = as_power_of(2, half)
-        if hm is None:
-            continue
-        h = hm + 1
-        sq = (q >> u) ** 2 << (2 * u)
-        if second != tuple(sorted((1 << (2 * u + h + 1), sq))):
-            continue
-        params = {"u": u, "h": h}
-        member = _try_gen("I", params)
-        if member is not None:
-            yield params, member
+        for params in _PROPOSERS[tag](p, q, second):
+            member = _try_gen(tag, params)
+            if member is not None and member.term_pairs() == (first, second):
+                yield params, member
 
 
-def _member_ii(first: tuple[int, int], second: tuple[int, int]) -> Iterator[_Found]:
-    # first should be {3^t, 2 * 3^t}
-    for p, q in (first, first[::-1]):
-        t = as_power_of(3, p)
-        if t is None or q != 2 * p:
-            continue
-        cube = p**3
-        if second != (cube, 8 * cube):
-            continue
-        member = _try_gen("II", {"t": t})
-        if member is not None:
-            yield {"t": t}, member
+def _divisors(n: int) -> list[int]:
+    return [m for m in range(1, n + 1) if n % m == 0]
 
 
-def _member_iii(first: tuple[int, int], second: tuple[int, int]) -> Iterator[_Found]:
-    # first = {P, P*d} with P = g^(ju); second = {P^k * g^w, (P*d)^k}
-    for p, q in (first, first[::-1]):
-        if p % 2 == 0 or q % p:
-            continue
-        d = q // p
-        for p2, q2 in (second, second[::-1]):
-            k = as_power_of(q, q2)
-            if k is None or k < 2:
-                continue
-            target = (d + 1) ** k - d**k
-            if target <= 1 or p2 != p**k * target:
-                continue
-            for g, e in power_representations(p):
-                if g < 3 or g % 2 == 0:
-                    continue
-                w = as_power_of(g, target)
-                if w is None:
-                    continue
-                for j in range(1, e + 1):
-                    if e % j or w % j:
-                        continue
-                    params = {"g": g, "j": j, "u": e // j, "d": d, "k": k, "w": w}
-                    member = _try_gen("III", params)
-                    if member is not None and member.term_pairs() == (first, second):
-                        yield params, member
+# Each proposer takes the first solution's two terms in one order (p, q)
+# and the second solution's terms, and yields every map whose member
+# could have them; a comment names the terms it reads the map from.
+
+def _propose_i(p: int, q: int, second: tuple[int, int]) -> Iterator[dict[str, int]]:
+    # p = 2^(u+1), q = 2^u (2^(h-1) - 1)
+    e = as_power_of(2, p)
+    if e is not None:
+        hm = as_power_of(2, (q >> (e - 1)) + 1)
+        if hm is not None:
+            yield {"u": e - 1, "h": hm + 1}
 
 
-def _member_iv(first: tuple[int, int], second: tuple[int, int]) -> Iterator[_Found]:
-    # first = {P, P*d/2} with P = 2^(iu) g^(ju) = a^u
-    # second = {P^k * 2^(iw/j) g^w, (P*d/2)^k}
-    for p, q in (first, first[::-1]):
-        big_e = two_adic(p)
-        if big_e < 1 or two_adic(q) != big_e - 1:
+def _propose_ii(p: int, q: int, second: tuple[int, int]) -> Iterator[dict[str, int]]:
+    # p = 3^t, q = 2 * 3^t
+    t = as_power_of(3, p)
+    if t is not None:
+        yield {"t": t}
+
+
+def _propose_iii(p: int, q: int, second: tuple[int, int]) -> Iterator[dict[str, int]]:
+    # p = g^(ju), q = p d, and one term of second is q^k
+    d = q // p
+    for q2 in second:
+        k = as_power_of(q, q2)
+        if k is None:
             continue
-        big_g = p >> big_e          # g^(ju)
-        if big_g < 3:
+        target = (d + 1) ** k - d**k            # g^w
+        for g, e in power_representations(p):   # e = ju
+            w = as_power_of(g, target)
+            if w is not None:
+                for j in _divisors(e):
+                    yield {"g": g, "j": j, "u": e // j, "d": d, "k": k, "w": w}
+
+
+def _propose_iv(p: int, q: int, second: tuple[int, int]) -> Iterator[dict[str, int]]:
+    # p = 2^(iu) g^(ju), q = p d / 2, and one term of second is q^k
+    big_e = two_adic(p)                         # iu
+    d = q // (p >> 1)
+    for q2 in second:
+        k = as_power_of(q, q2)
+        if k is None:
             continue
-        odd_q = q >> (big_e - 1)
-        if odd_q % big_g:
-            continue
-        d = odd_q // big_g
-        if d < 3 or d % 2 == 0:
-            continue
-        for p2, q2 in (second, second[::-1]):
-            k = as_power_of(q, q2)
-            if k is None or k < 2 or k % 2:
-                continue
-            diff = (d + 2) ** k - d**k
-            odd_part = diff >> two_adic(diff)
-            if odd_part <= 1:
-                continue
-            h = two_adic(2 * d + 2)
-            v = two_adic(k)
-            for g, m in power_representations(big_g):
-                if g < 3 or g % 2 == 0:
-                    continue
-                w = as_power_of(g, odd_part)
-                if w is None or (big_e * w) % m:
-                    continue
-                shift = big_e * w // m          # iw/j for any split of m
-                if k - v != h - shift:
-                    continue
-                if p2 != (p**k << shift) * g**w:
-                    continue
-                common = math.gcd(big_e, m)     # u runs over its divisors
-                for u in range(1, common + 1):
-                    if common % u or w % (m // u):
-                        continue
-                    params = {
-                        "g": g, "i": big_e // u, "j": m // u, "u": u,
-                        "d": d, "k": k, "w": w,
+        diff = (d + 2) ** k - d**k
+        odd_part = diff >> two_adic(diff)       # g^w
+        for g, m in power_representations(p >> big_e):     # m = ju
+            w = as_power_of(g, odd_part) if g > 1 else None
+            if w is not None:
+                for u in _divisors(math.gcd(big_e, m)):
+                    yield {
+                        "g": g, "i": big_e // u, "j": m // u, "u": u, "d": d,
+                        "k": k, "w": w, "h": two_adic(2 * d + 2), "v": two_adic(k),
                     }
-                    member = _try_gen("IV", params)
-                    if member is not None and member.term_pairs() == (first, second):
-                        yield _iv_full_params(params), member
 
 
-# each extractor yields every (params, member) whose member's term_pairs()
-# equal (first, second); family IV maps carry the derived h and v
-_EXTRACTORS = (
-    ("I", _member_i), ("II", _member_ii), ("III", _member_iii), ("IV", _member_iv),
-)
+_PROPOSERS = {
+    "I": _propose_i, "II": _propose_ii, "III": _propose_iii, "IV": _propose_iv,
+}
 
 
 # ---------------------------------------------------------------------------

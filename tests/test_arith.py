@@ -214,7 +214,6 @@ class TestPowers:
         assert power_representations(1) == [(1, 1)]
         assert power_representations(7) == [(7, 1)]
         assert power_representations(64) == [(64, 1), (8, 2), (4, 3), (2, 6)]
-        assert power_representations(64, max_exp=3) == [(64, 1), (8, 2), (4, 3)]
         assert power_representations(729) == [(729, 1), (27, 2), (9, 3), (3, 6)]
 
     @given(st.integers(min_value=2, max_value=50), st.integers(min_value=1, max_value=12))

@@ -531,3 +531,32 @@ class TestTopLevel:
     def test_no_command_is_usage(self, capsys):
         code, _, _ = run(capsys)
         assert code == 1
+
+
+class TestClosedStdout:
+    """A reader that stops reading ends the run with 141 and no traceback."""
+
+    ARGV = [sys.executable, "-m", "exptriple.cli", "enumerate"]
+
+    def test_pipe_closed_before_any_output(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([*self.ARGV, "2", "6", "38"], env=subprocess_env(),
+                                  stdout=write_end, stderr=subprocess.PIPE, timeout=30)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")
+
+    def test_pipe_closed_mid_stream(self):
+        # about 100 KB of output, more than a pipe holds, so the run is
+        # still writing when the reader goes away after the first line
+        argv = [*self.ARGV, "4", "8", "32", "--max-bits", "40000"]
+        with subprocess.Popen(argv, env=subprocess_env(), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=30)
+        assert first == b"solutions of 4^x + 8^y = 32^z below 2^40000: 1333\n"
+        assert (code, err) == (141, b"")

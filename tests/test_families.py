@@ -1,11 +1,14 @@
 """Tests for family generation, exact membership, and correspondence membership."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exptriple import acceptance
 from exptriple.arith import is_prime, power_representations, two_adic
+from exptriple.catalog import KNOWN_ANOMALOUS_ROWS
 from exptriple.errors import FamilyConstraintError
 from exptriple.families import (
     Classification,
@@ -373,6 +376,28 @@ class TestInFamily:
                 assert wit is not None and wit.family == tag, nine
                 assert wit.member.term_pairs() == member.term_pairs()
                 assert wit.matching == (1, 0)
+
+    def test_verdict_counts_on_the_criterion_five_grids(self):
+        # each grid member and catalogue row as given, with its solutions
+        # swapped and with its bases swapped: 851 * 3 = 2,553 nine-tuples
+        rows = [gen_family("I", {"u": u, "h": h}).as_tuple()
+                for u in range(1, 9) for h in range(2, 9)]
+        rows += [gen_family("II", {"t": t}).as_tuple() for t in range(1, 9)]
+        rows += [gen_family("III", p).as_tuple() for p in acceptance._grid_iii()]
+        rows += [gen_family("IV", p).as_tuple() for p in acceptance._grid_iv()]
+        rows += KNOWN_ANOMALOUS_ROWS
+        nines = []
+        for a, b, c, x1, y1, z1, x2, y2, z2 in rows:
+            nines += [make_nine_tuple(a, b, c, x1, y1, z1, x2, y2, z2),
+                      make_nine_tuple(a, b, c, x2, y2, z2, x1, y1, z1),
+                      make_nine_tuple(b, a, c, y1, x1, z1, y2, x2, z2)]
+
+        def counts(test):
+            found = Counter(getattr(test(nine), "family", None) for nine in nines)
+            return {tag or "none": n for tag, n in found.items()}
+
+        assert counts(in_family) == {"I": 168, "II": 24, "III": 1893, "IV": 438, "none": 30}
+        assert counts(in_F) == {"I": 56, "II": 8, "III": 631, "IV": 146, "none": 1712}
 
 
 class TestClassifyNine:

@@ -919,11 +919,12 @@ class TestCellScan:
     # b1 = 1 with a1 > 1, unit a1, residues of 3^x2 that collide modulo
     # g * b1 = 2 (b1 = 1), a power that is two carrier "b" sums (3, 2, 40, 7),
     # a residue that two a1^x2 share where the larger x2 meets (4, 3, 40, 7),
-    # and a row found at both b1 = 7 and b1 = 49 (10, 3, 50, 6)
+    # a row found at both b1 = 7 and b1 = 49 (10, 3, 50, 6), and a planned
+    # z1 whose least prime is 7, 3 + 5^3 = 2^7 beside 1 + 3 * 5 = 2^4 (3, 1, 8, 7)
     @pytest.mark.parametrize(
         ("g", "a1", "b1_max", "exp_max", "n_solved"),
         [(3, 2, 20, 5, 2), (3, 1, 30, 5, 3), (2, 3, 12, 6, 0), (3, 2, 40, 7, 2),
-         (4, 3, 40, 7, 0), (2, 1, 40, 7, 2), (10, 3, 50, 6, 2)],
+         (4, 3, 40, 7, 0), (2, 1, 40, 7, 2), (10, 3, 50, 6, 2), (3, 1, 8, 7, 3)],
     )
     def test_pairs_what_bucket_scan_pairs(self, monkeypatch, g, a1, b1_max, exp_max, n_solved):
         # rows hide family members, rejected candidates and a row met twice;
