@@ -21,15 +21,21 @@ _TRIAL_LIMIT = 10_000
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
-@functools.cache
-def _small_primes() -> tuple[int, ...]:
-    limit = _TRIAL_LIMIT
+def _primes_up_to(limit: int) -> list[int]:
+    """The primes p <= limit, ascending, by a sieve of Eratosthenes."""
+    if limit < 2:
+        return []
     mark = bytearray([1]) * (limit + 1)
     mark[0] = mark[1] = 0
     for p in range(2, math.isqrt(limit) + 1):
         if mark[p]:
             mark[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return tuple(i for i in range(limit + 1) if mark[i])
+    return [i for i in range(limit + 1) if mark[i]]
+
+
+@functools.cache
+def _small_primes() -> tuple[int, ...]:
+    return tuple(_primes_up_to(_TRIAL_LIMIT))
 
 
 def is_prime(n: int) -> bool:

@@ -35,13 +35,14 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import combinations, product
 from multiprocessing import Pool
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .arith import (
     POWER_SIEVES,
     Factored,
+    _primes_up_to,
     factorize,
-    is_prime,
+    introot,
     perfect_powers,
     power_representations,
 )
@@ -144,21 +145,27 @@ def generate_equations(rad_bound: int, height_bound: int) -> list[EquationRecord
     and rad(A*B*C) <= rad_bound, sorted by (C, A).  Coprimality makes the
     triple radical the product of the three radicals.
 
-    The values up to height_bound with radical at most rad_bound are
-    grouped by radical.  For each C only the groups with rad(A) <=
-    rad_bound // rad(C) and gcd(rad(A), rad(C)) = 1 are walked, each up
-    to A = C // 2, so the cost follows the number of these admissible
-    (A, C) pairs rather than the square of the number of values.  As
-    rad_bound grows towards height_bound squared, nearly every pair
-    becomes admissible.  The bounds (1000, 10**6) recall exactly
-    catalogue rows 1-6 through run_pipeline.
+    Why pairs of the two smallest radicals suffice: let the three
+    radicals of such an equation be rX <= rY <= rZ, with product P <=
+    rad_bound.  Then rX*rY <= rZ**2, so (rX*rY)**3 <= (rX*rY*rZ)**2 =
+    P**2 <= rad_bound**2.  The generator therefore walks every unordered
+    pair of values V, W (each at most height_bound) whose radicals are
+    coprime and multiply to a t with t**3 <= rad_bound**2.  The third
+    member is V + W when V and W are A and B, and |V - W| when one of
+    them is C; it is kept when it has a radical of at most rad_bound // t.
+    An equation found from several pairs is kept once.
+
+    The cost follows the number of such pairs, whose radical product is
+    at most rad_bound**(2/3), not the number of (A, C) pairs; the two
+    candidates of a pair are one dict lookup each.  The bounds (1000,
+    10**6) recall exactly catalogue rows 1-6 through run_pipeline.
     """
     if rad_bound < 6:
         raise UsageError("rad_bound below 6 admits no equation with C > 2")
     if height_bound < 2:
         raise UsageError("height_bound must be at least 2")
 
-    primes = [p for p in range(2, rad_bound + 1) if is_prime(p)]
+    primes = _primes_up_to(rad_bound)
     radical_of: dict[int, int] = {1: 1}
 
     def extend(idx: int, value: int, kernel: int) -> None:
@@ -174,34 +181,35 @@ def generate_equations(rad_bound: int, height_bound: int) -> list[EquationRecord
                 v *= p
 
     extend(0, 1, 1)
-    values = sorted(radical_of)
 
-    # values grouped by radical, each group ascending; a group's smallest
-    # value is its radical itself
+    # values grouped by radical, each group ascending
     by_radical: dict[int, list[int]] = {}
-    for v in values:
+    for v in sorted(radical_of):
         by_radical.setdefault(radical_of[v], []).append(v)
-    radicals = sorted(by_radical)
+    t_max = introot(rad_bound * rad_bound, 3)
+    small = sorted(r for r in by_radical if r <= t_max)
 
-    records = []
-    for C in values[1:]:
-        rc = radical_of[C]
-        rest = rad_bound // rc
-        half = C // 2
-        hits = []
-        for ra in radicals[: bisect_right(radicals, min(rest, half))]:
-            # coprime radicals make A and C, hence A and B, coprime
-            if math.gcd(ra, rc) != 1:
+    found: set[tuple[int, int]] = set()
+    for i, r1 in enumerate(small):
+        # r2 > r1, except for the pair of the two values 1
+        for r2 in small[i + (r1 > 1) : bisect_right(small, t_max // r1)]:
+            # coprime radicals make V and W, hence all three members, coprime
+            if math.gcd(r1, r2) != 1:
                 continue
-            rb_max = rest // ra
-            group = by_radical[ra]
-            for A in group[: bisect_right(group, half)]:
-                rb = radical_of.get(C - A)
-                if rb is not None and rb <= rb_max:
-                    hits.append(A)
-        hits.sort()
-        records.extend(make_equation(A, C - A, C) for A in hits)
-    return records
+            rest = rad_bound // (r1 * r2)
+            for V in by_radical[r1]:
+                for W in by_radical[r2]:
+                    S = V + W
+                    if S <= height_bound:
+                        rs = radical_of.get(S)
+                        if rs is not None and rs <= rest:
+                            found.add((S, min(V, W)))
+                    D = abs(V - W)
+                    if D:
+                        rd = radical_of.get(D)
+                        if rd is not None and rd <= rest:
+                            found.add((max(V, W), min(V, W, D)))
+    return [make_equation(A, C - A, C) for C, A in sorted(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +298,20 @@ def _carrier_splits(fac: Factored) -> list[tuple[int, int, int]]:
     return splits
 
 
+def _identity_args(
+    record: EquationRecord,
+) -> Iterator[tuple[str, int, int, int, int | None, int, int, int, int]]:
+    """The Identity(...) argument tuple of every identity of one record, unvalidated."""
+    a_reps, b_reps, c_reps = (power_representations(n) for n in record.as_tuple())
+    for term, fac, other_reps in ((record.A, record.fa, b_reps), (record.B, record.fb, a_reps)):
+        for g, w, content in _carrier_splits(fac):
+            for mb, me in power_representations(term // content):
+                for pb, pe in other_reps:
+                    for cb, ce in c_reps:
+                        yield ("a", g, w, mb, None if mb == 1 else me, pb, pe, cb, ce)
+                        yield ("b", g, w, pb, None if pb == 1 else pe, mb, me, cb, ce)
+
+
 def decompose(record: EquationRecord) -> list[Identity]:
     """Every identity of one record, with each term in turn carrying g.
 
@@ -301,20 +323,7 @@ def decompose(record: EquationRecord) -> list[Identity]:
     cofactor as a1) and in the b-slot (carrier "b", the cofactor as b1).
     A term equal to 1 carries nothing.
     """
-    a_reps, b_reps, c_reps = (power_representations(n) for n in record.as_tuple())
-    identities: list[Identity] = []
-    for term, fac, other_reps in ((record.A, record.fa, b_reps), (record.B, record.fb, a_reps)):
-        for g, w, content in _carrier_splits(fac):
-            for mb, me in power_representations(term // content):
-                for pb, pe in other_reps:
-                    for cb, ce in c_reps:
-                        identities.append(Identity(
-                            "a", g, w, mb, None if mb == 1 else me, pb, pe, cb, ce,
-                        ))
-                        identities.append(Identity(
-                            "b", g, w, pb, None if pb == 1 else pe, mb, me, cb, ce,
-                        ))
-    return identities
+    return [Identity(*args) for args in _identity_args(record)]
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +542,20 @@ def run_pipeline(
     term carrying g in either slot; identities are then paired globally
     over their (g, a1, b1, c1) key, carrier "a" with carrier "b", so the
     two solutions of one triple may come from different input equations.
+
+    Pairing is key-first, in two passes over the records.  The first
+    counts every identity (shapes_53, shapes_54) and collects the key set
+    of carrier "a"; the carrier "b" keys are the same keys with a1 and b1
+    swapped.  Only a key that both carriers share can pair, so the second
+    pass keeps the identities of the shared keys alone, as argument
+    tuples, and Identity objects are built and validated only for the
+    keys that are paired.  Deferring validation loses no check:
+    on a record from make_equation (A + B = C, gcd(A, B) = 1) decompose
+    cannot yield an invalid identity.  g is the primitive root of a
+    nonempty prime subset's content, so g >= 2 and w >= 1; g, the
+    cofactor, the other term and C are pairwise coprime, and so are
+    their perfect-power bases; c1 >= 2 because C >= 2; x is None exactly
+    when a1 = 1; and every identity rewrites A + B = C exactly.
     """
     if config is None:
         config = RunConfig()
@@ -540,29 +563,40 @@ def run_pipeline(
 
     unique = {record.as_tuple(): record for record in records}
     stats["records"] = len(unique)
+    ordered = [unique[key] for key in sorted(unique)]
 
-    buckets: dict[tuple[int, int, int, int], tuple[list[Identity], list[Identity]]] = {}
-    for key in sorted(unique):
-        for identity in decompose(unique[key]):
-            lefts, rights = buckets.setdefault(identity.key(), ([], []))
-            if identity.carrier == "a":
-                lefts.append(identity)
+    # each carrier "b" identity comes with a carrier "a" one whose a1 and b1
+    # are swapped, so the carrier "b" keys are the carrier "a" keys mirrored
+    left_keys: set[tuple[int, int, int, int]] = set()
+    for record in ordered:
+        for carrier, g, _, a1, _, b1, _, c1, _ in _identity_args(record):
+            if carrier == "a":
+                left_keys.add((g, a1, b1, c1))
                 stats["shapes_53"] += 1
             else:
-                rights.append(identity)
                 stats["shapes_54"] += 1
+    buckets: dict[tuple[int, int, int, int], tuple[list[tuple], list[tuple]]] = {
+        key: ([], []) for key in left_keys if (key[0], key[2], key[1], key[3]) in left_keys
+    }
+    del left_keys
+
+    for record in ordered:
+        for args in _identity_args(record):
+            bucket = buckets.get((args[1], args[3], args[5], args[7]))
+            if bucket is not None:
+                bucket[args[0] == "b"].append(args)
 
     anomalous: dict[tuple[int, ...], NineTuple] = {}
     family: dict[tuple[int, ...], tuple[NineTuple, Classification]] = {}
     for key in sorted(buckets):
-        lefts, rights = buckets[key]
-        if not lefts or not rights:
-            continue
+        left_args, right_args = buckets[key]
         _, a1, b1, _ = key
         if a1 == 1 and b1 == 1:
-            stats["pairs_skipped"] += len(lefts) * len(rights)
+            stats["pairs_skipped"] += len(left_args) * len(right_args)
             continue
         stats["pair_keys"] += 1
+        lefts = [Identity(*args) for args in left_args]
+        rights = [Identity(*args) for args in right_args]
         for left in lefts:
             for right in rights:
                 stats["pairs"] += 1

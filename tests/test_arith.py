@@ -152,6 +152,11 @@ class TestIsPrime:
         # strong pseudoprime to base 2, composite
         assert not is_prime(3215031751)
 
+    def test_sieve_agrees_with_is_prime(self):
+        assert arith_module._primes_up_to(20_000) == [n for n in range(20_001) if is_prime(n)]
+        assert arith_module._primes_up_to(1) == []
+        assert arith_module._primes_up_to(2) == [2]
+
 
 class TestDerivedFunctions:
     def test_prime_set(self):

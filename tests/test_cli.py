@@ -432,6 +432,21 @@ class TestSearchPipeline:
         assert "generated" in err
         assert "(3, 6, 15)" in out
 
+    def test_file_of_the_generated_equations_prints_what_generation_prints(
+        self, capsys, tmp_path
+    ):
+        records = search_module.generate_equations(1000, 10**6)
+        path = tmp_path / "eqs.txt"
+        path.write_text("".join(f"{r.A} {r.B} {r.C}\n" for r in records), encoding="utf-8")
+        code, from_file, _ = run(capsys, "search", "pipeline", str(path))
+        assert code == 0
+        code, generated, _ = run(capsys, "search", "pipeline",
+                                 "--gen-rad", "1000", "--gen-height", "1000000")
+        assert code == 0
+        assert len(records) == 354
+        assert from_file.count("anomalous") == 6
+        assert from_file == generated
+
     def test_json_rows_match_schema(self, capsys, tmp_path):
         path = tmp_path / "eqs.txt"
         path.write_text(self.CLEAN, encoding="utf-8")

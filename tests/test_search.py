@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import random
 import warnings
 from collections import Counter
 
@@ -140,7 +141,8 @@ class TestGenerateEquations:
 
 def _quadratic_generate(rad_bound, height_bound):
     """Reference generator: every pair of radical-bounded values is tried."""
-    primes = [p for p in range(2, rad_bound + 1) if is_prime(p)]
+    # a prime above height_bound divides no value up to it
+    primes = [p for p in range(2, min(rad_bound, height_bound) + 1) if is_prime(p)]
     radical_of = {1: 1}
 
     def extend(idx, value, kernel):
@@ -193,6 +195,25 @@ class TestGeneratorMatchesQuadraticScan:
         got = [r.as_tuple() for r in generate_equations(300, 10**5)]
         assert len(got) > 100
         assert got == _quadratic_generate(300, 10**5)
+
+
+class TestGeneratorPairBound:
+    """The walked pairs have a radical product t with t**3 <= rad_bound**2."""
+
+    @pytest.mark.parametrize("rad_bound", [7, 8, 9, 26, 27, 28, 63, 64, 65, 999, 1000, 1001])
+    def test_both_sides_of_a_perfect_cube(self, rad_bound):
+        got = [r.as_tuple() for r in generate_equations(rad_bound, 3000)]
+        assert got == _quadratic_generate(rad_bound, 3000)
+
+    @given(
+        rad_bound=st.integers(min_value=600, max_value=10**5),
+        height_bound=st.integers(min_value=2, max_value=600),
+    )
+    @example(rad_bound=10**5, height_bound=600)
+    @settings(max_examples=15, deadline=None)
+    def test_radical_bound_above_the_height_bound(self, rad_bound, height_bound):
+        got = [r.as_tuple() for r in generate_equations(rad_bound, height_bound)]
+        assert got == _quadratic_generate(rad_bound, height_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +589,28 @@ class TestRunPipeline:
         got = {n.as_tuple() for n in outcome.anomalous}
         assert got <= known
         assert (3, 6, 15, 2, 1, 1, 2, 3, 2) in got
+
+    def test_identities_are_built_only_for_paired_keys(self, monkeypatch):
+        built = Counter()
+        validate = Identity.__post_init__
+
+        def counting(identity):
+            built[identity.carrier] += 1
+            validate(identity)
+
+        monkeypatch.setattr(Identity, "__post_init__", counting)
+        outcome = run_pipeline(generate_equations(1000, 10**6))
+        assert outcome.stats["shapes_53"] + outcome.stats["shapes_54"] == 6306
+        assert built == {"a": 302, "b": 302}
+
+    def test_order_and_duplicates_do_not_change_the_outcome(self):
+        records = generate_equations(1000, 10**6)
+        want = run_pipeline(records)
+        rng = random.Random(7)
+        for _ in range(2):
+            shuffled = records + rng.sample(records, 100)
+            rng.shuffle(shuffled)
+            assert run_pipeline(shuffled) == want
 
     def test_generated_bounds_recall_exactly_rows_one_to_six(self):
         outcome = run_pipeline(generate_equations(1000, 10**6))
