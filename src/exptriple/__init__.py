@@ -18,7 +18,6 @@ from .arith import (
     least_index,
     lte_odd,
     power_representations,
-    prime_set,
     prime_support_subset,
     radical,
     same_prime_set_scan,
@@ -135,7 +134,6 @@ __all__ = [
     "pair_and_solve",
     "power_of_two_solutions",
     "power_representations",
-    "prime_set",
     "prime_support_subset",
     "radical",
     "reconstruct_and_verify",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _TRIAL_LIMIT = 10_000
 
@@ -95,8 +95,7 @@ def _brent_rho(n: int, rng: random.Random) -> int:
             return g
 
 
-@dataclass(frozen=True)
-class Factored:
+class Factored(NamedTuple):
     """An integer together with its complete prime factorization.
 
     factors is a tuple of (prime, exponent) pairs sorted by prime, and the
@@ -155,11 +154,6 @@ def factorize(n: int) -> Factored:
             stack.append((d, k))
             stack.append((m // d, k))
     return Factored(original, tuple(sorted(found.items())))
-
-
-def prime_set(n: int) -> frozenset[int]:
-    """The set of primes dividing n (empty for n = 1)."""
-    return frozenset(factorize(n).primes)
 
 
 def radical(n: int) -> int:

@@ -12,9 +12,11 @@ and returns after three gcds.  A triple with a prime p dividing all three
 bases is split on p's valuations: two of v_p(a^x), v_p(b^y), v_p(c^z) are
 equal and no larger than the third.  Each case is a sequence in one step
 k, c^z - a^x, c^z - b^y or a^x + b^y, merged against a running power of
-the third base in O(K + Z) steps with no table; a difference u^k - v^k
-with u <= v is never positive and is skipped.  Only pairwise-coprime
-bases, such as (3, 5, 2), keep the O(X * Z) double loop over (x, z).
+the third base in O(K + Z) steps with no table.  A walk that can hold no
+hit is skipped: a difference u^k - v^k with u <= v is never positive, and
+a third base too large against u and v for p's valuations never meets
+the sequence.  Only pairwise-coprime bases, such as (3, 5, 2), keep the
+O(X * Z) double loop over (x, z).
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import as_power_of, two_adic
 from .triple import Triple
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """One exponent triple (x, y, z), all positive."""
 
     x: int
@@ -64,8 +66,7 @@ def correspond(t1: Triple, s1: Solution, t2: Triple, s2: Solution) -> bool:
     return term_multiset(t1, s1) == term_multiset(t2, s2)
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(NamedTuple):
     """All solutions of a triple below a bit bound, with their classes.
 
     solutions is sorted by (z, x, y).  classes partitions it by term
@@ -122,14 +123,58 @@ def _coprime_double_loop(t: Triple, limit: int) -> list[Solution]:
     return found
 
 
+def _power_exceeds(base: int, m: int, x: int, n: int, strict: bool, cap: int) -> bool:
+    """Whether base**m > x**n, or base**m >= x**n when not strict.
+
+    Bit lengths decide when the two powers lie in disjoint ranges
+    [2^(m*(len-1)), 2^(m*len)).  Otherwise the powers are formed, with m
+    and n divided by their gcd, unless one would be longer than cap bits;
+    the answer is then False.
+    """
+    lb, lx = base.bit_length(), x.bit_length()
+    if m * (lb - 1) >= n * lx:
+        return True
+    if m * lb <= n * (lx - 1):
+        return False
+    h = math.gcd(m, n)
+    m, n = m // h, n // h
+    if max(m * lb, n * lx) > cap:
+        return False
+    lhs, rhs = base**m, x**n
+    return lhs > rhs or (not strict and lhs == rhs)
+
+
 def _merge(
-    u_base: int, e_u: int, v_base: int, e_v: int, sign: int, base: int, limit: int
+    u_base: int, e_u: int, v_base: int, e_v: int, sign: int, base: int, e_w: int, limit: int
 ) -> list[tuple[int, int, int]]:
     """Every (i, j, e) with u_base^i + sign * v_base^j = base^e, i*e_u = j*e_v
     and c^z below limit, where c^z is u_base^i for sign -1, else the sum.
 
     The term is u^k + sign * v^k for u = u_base^(e_v/g), v = v_base^(e_u/g)
     and g = gcd(e_u, e_v), which increases with k once u > v.
+
+    e_u, e_v and e_w are the exponents of one prime p in u_base, v_base and
+    base.  The walk is skipped when base is too large for any hit.  Let
+    L = du*e_u = e_u*e_v/g, so u^k and v^k both have p-adic valuation k*L
+    and their sum or difference has at least that.  A hit base^e therefore
+    has e*e_w >= k*L, and base^(k*L) <= (base^e)^e_w.  For a difference
+    base^e < u^k, which gives base^L < u^e_w.  For a sum base^e <=
+    2*max(u, v)^k <= (2*max(u, v))^k, which gives base^L <=
+    (2*max(u, v))^e_w.  So base^L >= u^e_w skips a difference walk and
+    base^L > (2*max(u, v))^e_w skips a sum walk.  Bit lengths decide most
+    of these tests.  The exact powers are formed only when bit lengths
+    cannot decide, and only up to twice the bits of limit, the size of the
+    walk's own products; past that the walk runs, which is always correct.
+
+    Neither boundary changes an output.  A difference hit has
+    base^L < u^e_w strictly, so none sits at equality.  A sum hit with
+    base^L > max(u, v)^e_w has e*e_w = k*L: otherwise e*e_w >= k*L + 1, and
+    base^(k*L + 1) <= (base^e)^e_w <= 2^e_w * max(u, v)^(k*e_w)
+    < 2^e_w * base^(k*L) would give base < 2^e_w, although p^e_w divides
+    base.  All three valuations of a^x + b^y = c^z are then equal, so the
+    difference walk of c^z - a^x = b^y finds the same solution.  That is
+    why neither >= for > in the sum's test nor dropping its factor 2 can
+    change a result.
     """
     g = math.gcd(e_u, e_v)
     du, dv = e_v // g, e_u // g
@@ -137,8 +182,11 @@ def _merge(
     if du * (u_base.bit_length() - 1) >= bits or dv * (v_base.bit_length() - 1) >= bits:
         return []  # u or v is at least limit, and then so is every c^z; neither is formed
     u, v = u_base**du, v_base**dv
-    if sign < 0 and u <= v:
-        return []  # the difference is never positive
+    if sign < 0:
+        if u <= v or _power_exceeds(base, du * e_u, u, e_w, False, 2 * bits):
+            return []  # the difference is never positive, or base^L >= u^e_w
+    elif _power_exceeds(base, du * e_u, 2 * max(u, v), e_w, True, 2 * bits):
+        return []  # base^L > (2*max(u, v))^e_w
     out, uk, vk, k = [], u, v, 1
     power, e = base, 1
     while True:
@@ -163,9 +211,9 @@ def _valuation_split(t: Triple, limit: int) -> list[Solution]:
     """
     e_a, e_b, e_c = t.exponents[t.common_primes[0]]
     a, b, c = t.a, t.b, t.c
-    found = {Solution(x, y, z) for z, x, y in _merge(c, e_c, a, e_a, -1, b, limit)}
-    found.update(Solution(x, y, z) for z, y, x in _merge(c, e_c, b, e_b, -1, a, limit))
-    found.update(Solution(x, y, z) for x, y, z in _merge(a, e_a, b, e_b, 1, c, limit))
+    found = {Solution(x, y, z) for z, x, y in _merge(c, e_c, a, e_a, -1, b, e_b, limit)}
+    found.update(Solution(x, y, z) for z, y, x in _merge(c, e_c, b, e_b, -1, a, e_a, limit))
+    found.update(Solution(x, y, z) for x, y, z in _merge(a, e_a, b, e_b, 1, c, e_c, limit))
     return list(found)
 
 
@@ -188,10 +236,16 @@ def enumerate_solutions(t: Triple, max_bits: int) -> SolutionSet:
       g = gcd(e_a, e_c), c^z - b^y likewise, a^x + b^y = u^k + v^k for
       u = a^(e_b/g), v = b^(e_a/g) and g = gcd(e_a, e_b).  It is walked
       next to a running power of the third base, advanced while below
-      the term, and stops when c^z reaches the bound; a difference with
-      u <= v is never positive and is skipped.  The cases can overlap, so
-      hits are collected in a set.  Cost O(K + Z) steps per case with no
-      table: K values of k and the Z powers of c (X or Y for a or b).
+      the term, and stops when c^z reaches the bound.  A case is skipped
+      before its walk when it can hold no hit: a difference with u <= v
+      is never positive, and a third base w with p-exponent e_w and
+      w^L >= u^e_w (difference) or w^L > (2*max(u, v))^e_w (sum), for
+      L = v_p(u), is too large for p's valuations (see _merge).  The test
+      compares bit lengths and forms no number longer than twice the
+      bound.  The cases can overlap, so hits are collected in a set.  Cost
+      O(K + Z) steps per case with no table: K values of k and the Z
+      powers of c (X or Y for a or b).  A triple whose walks find nothing
+      returns before any sorting or grouping.
     - Pairwise-coprime bases, such as (3, 5, 2): for each z, walk the
       powers of a below c^z and look the difference up among the powers
       of b.  Cost O(X * Z) lookups.
@@ -208,6 +262,8 @@ def enumerate_solutions(t: Triple, max_bits: int) -> SolutionSet:
     if math.gcd(t.a1, t.b1) > 1 or math.gcd(t.a1, t.c1) > 1 or math.gcd(t.b1, t.c1) > 1:
         return SolutionSet(t, max_bits, (), ())
     found = _valuation_split(t, limit) if t.common_primes else _coprime_double_loop(t, limit)
+    if not found:
+        return SolutionSet(t, max_bits, (), ())
     found.sort(key=Solution.key)
     by_terms: dict[tuple[int, int], list[Solution]] = {}
     for s in found:

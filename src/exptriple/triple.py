@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .arith import factorize
 from .errors import InternalInvariantError, ProportionalityError
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     """A validated base triple with its shared-prime decomposition.
 
     common_primes holds every prime dividing all of a, b and c, which are

@@ -24,7 +24,6 @@ from exptriple.arith import (
     lte_odd,
     perfect_powers,
     power_representations,
-    prime_set,
     prime_support_subset,
     radical,
     same_prime_set_scan,
@@ -159,11 +158,6 @@ class TestIsPrime:
 
 
 class TestDerivedFunctions:
-    def test_prime_set(self):
-        assert prime_set(1) == frozenset()
-        assert prime_set(12) == frozenset({2, 3})
-        assert prime_set(78405) == frozenset({3, 5, 5227})
-
     def test_radical(self):
         assert radical(1) == 1
         assert radical(8) == 2
@@ -415,7 +409,7 @@ class TestPrimeSupport:
     @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=300)
     def test_matches_factorization(self, m, n):
-        expected = prime_set(m) <= prime_set(n)
+        expected = set(factorize(m).primes) <= set(factorize(n).primes)
         assert prime_support_subset(m, n) == expected
 
 
@@ -430,7 +424,7 @@ class TestSamePrimeSetScan:
                 vals = [r**n - s**n for n in range(1, 7)]
                 for i in range(6):
                     for j in range(i + 1, 6):
-                        if prime_set(vals[j]) <= prime_set(vals[i]):
+                        if set(factorize(vals[j]).primes) <= set(factorize(vals[i]).primes):
                             expected.append((i + 1, j + 1))
                 assert same_prime_set_scan(r, s, 6, -1) == expected
 

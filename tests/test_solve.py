@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import time
 import warnings
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from exptriple import solve as solve_module
 from exptriple.catalog import KNOWN_ANOMALOUS_ROWS
 from exptriple.solve import (
     Solution,
@@ -219,6 +221,92 @@ class TestMatchesReferenceLoop:
         # c^(e_a) would have about 93 million bits; it is never formed
         a, b, c = 2**10_000 * 3, 14, 2 * 5**4000
         assert_matches_reference(a, b, c, 20_000)
+
+
+# planted triples on which the size test skips at least one walk
+_SIZE_SKIPPED = ((2, 2, 6), (2, 4, 6), (2, 34, 6), (2, 6, 40))
+
+
+class TestSizeTest:
+    """The walks that _merge skips for their third base's size hold no hit."""
+
+    @given(
+        st.sampled_from((2, 3, 5)),
+        st.tuples(*(st.integers(min_value=1, max_value=4),) * 3),
+        st.tuples(*(st.sampled_from(_PARTS),) * 3),
+        st.booleans(),
+        st.tuples(*(st.integers(min_value=1, max_value=4),) * 2),
+        st.integers(min_value=8, max_value=160),
+    )
+    @example(2, (1, 1, 1), (1, 1, 1), True, (1, 2), 64)  # (2, 2, 6)
+    @example(2, (1, 1, 1), (1, 1, 3), False, (1, 1), 64)  # (2, 4, 6)
+    @example(2, (1, 1, 1), (1, 1, 3), False, (1, 2), 64)  # (2, 34, 6)
+    @example(2, (1, 1, 1), (1, 3, 1), True, (2, 2), 64)  # (2, 6, 40)
+    @settings(max_examples=300, deadline=None)
+    def test_planted_solutions(self, p, exps, parts, is_sum, plant, max_bits):
+        # a = p^alpha*a1 and so on.  A sum plants c = a^i + b^j with the
+        # solution (i, j, 1); a difference plants b = c^j - a^i with the
+        # solution (i, 1, j).
+        (alpha, beta, gamma), (a1, b1, c1), (i, j) = exps, parts, plant
+        a, b, c = p**alpha * a1, p**beta * b1, p**gamma * c1
+        planted = None
+        if is_sum:
+            c, planted = a**i + b**j, (i, j, 1)
+        elif c**j - a**i >= 2:
+            b, planted = c**j - a**i, (i, 1, j)
+        assert_matches_reference(a, b, c, max_bits)
+        if planted is not None and c ** planted[2] < 1 << max_bits:
+            sset = enumerate_solutions(build_triple(a, b, c), max_bits)
+            assert planted in sol_tuples(sset)
+
+    @pytest.mark.parametrize("abc", _SIZE_SKIPPED)
+    def test_examples_skip_a_walk(self, monkeypatch, abc):
+        original, verdicts = solve_module._power_exceeds, []
+
+        def recording(*args):
+            verdicts.append(original(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(solve_module, "_power_exceeds", recording)
+        t = build_triple(*abc)
+        sset = enumerate_solutions(t, 64)
+        assert True in verdicts and sset.solutions
+        assert sset == _reference_enumerate(t, 64)
+
+    @given(
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=1, max_value=12),
+        st.booleans(),
+    )
+    @example(4, 1, 2, 2, False)  # 4^1 = 2^2, decided only by the exact powers
+    @example(4, 1, 2, 2, True)
+    @settings(max_examples=300)
+    def test_power_comparison_is_exact(self, base, m, x, n, strict):
+        want = base**m > x**n or (not strict and base**m == x**n)
+        assert solve_module._power_exceeds(base, m, x, n, strict, 10**6) == want
+
+    def test_undecided_long_powers_are_not_formed(self):
+        # 3^1000 > 2^1584, which bit lengths cannot decide; the reduced
+        # powers 3^125 and 2^198 are formed only when the cap allows
+        assert solve_module._power_exceeds(3, 1000, 2, 1584, True, 10**6)
+        assert not solve_module._power_exceeds(3, 1000, 2, 1584, True, 300)
+
+    def test_huge_third_base_is_never_powered(self):
+        # b^1000 would have about 10^9 bits; bit lengths skip that walk
+        t = build_triple(2**1000 * 7, 2 * 3**600_000, 10)
+        start = time.perf_counter()
+        assert enumerate_solutions(t, 20_000).solutions == ()
+        assert time.perf_counter() - start < 1
+
+    def test_close_long_powers_are_never_formed(self):
+        # b^19990 against c^19991 is undecided by bit lengths, and each has
+        # about 4 * 10^8 bits: past the cap the difference walk runs instead
+        t = build_triple(2, 2**19991 * 5, 2**19990 * 3)
+        start = time.perf_counter()
+        assert enumerate_solutions(t, 20_000).solutions == ()
+        assert time.perf_counter() - start < 1
 
 
 class TestEarlyExit:
