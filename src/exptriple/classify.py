@@ -6,11 +6,11 @@ tag A when the a-term dominates, B when the b-term does, C when the
 c-term does, O when all three agree.  The two smallest always agree for a
 genuine solution; anything else is a hard invariant failure.
 
-The enumerate command prints the tags, and the search keeps a pair of
-solutions only when one is Type A and the other Type B at every shared
-prime.  The paper restricts the tags further: a prime carries at most one
-Type-O solution, a prime that dominates another forces Type A, and a
-prime carrying a Type-C solution carries nothing else.
+The enumerate command prints the tags, and the search asserts that each
+pair it verifies is Type A, then Type B, at every shared prime.  The
+paper restricts the tags further: a prime carries at most one Type-O
+solution, a prime that dominates another forces Type A, and a prime
+carrying a Type-C solution carries nothing else.
 """
 
 from __future__ import annotations

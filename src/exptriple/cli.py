@@ -100,14 +100,14 @@ def _nine_identities(nine: NineTuple) -> str:
 
 
 def _nine_row(
-    nine: NineTuple, classification: Classification | None, bound_bits: int | None
+    nine: NineTuple, classification: Classification, bound_bits: int | None
 ) -> dict[str, object]:
-    witness = classification.witness if classification else None
+    witness = classification.witness
     return {
         "a": nine.a, "b": nine.b, "c": nine.c,
         "x1": nine.s1.x, "y1": nine.s1.y, "z1": nine.s1.z,
         "x2": nine.s2.x, "y2": nine.s2.y, "z2": nine.s2.z,
-        "classification": classification.kind if classification else "anomalous",
+        "classification": classification.kind,
         "family": witness.family if witness else None,
         "params": dict(witness.params) if witness else None,
         "bound_bits": bound_bits,
@@ -124,27 +124,24 @@ def _verdict_str(nine: NineTuple, classification: Classification) -> str:
 
 
 def _emit_nine_rows(
-    items: Sequence[tuple[NineTuple, Classification | None]],
-    fmt: str,
-    bound_bits: int | None,
+    nines: Sequence[NineTuple], classification: Classification, fmt: str, bound_bits: int | None
 ) -> None:
     if fmt == "json-lines":
-        for nine, classification in items:
+        for nine in nines:
             print(json.dumps(_nine_row(nine, classification, bound_bits)))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(JSON_FIELDS)
-        for nine, classification in items:
+        for nine in nines:
             row = _nine_row(nine, classification, bound_bits)
             row["family"] = row["family"] or ""
             row["params"] = _params_str(row["params"]) if row["params"] else ""
             row["bound_bits"] = "" if row["bound_bits"] is None else row["bound_bits"]
             writer.writerow([row[k] for k in JSON_FIELDS])
     else:
-        for nine, classification in items:
-            verdict = _verdict_str(nine, classification) if classification else ""
-            head = f"({nine.a}, {nine.b}, {nine.c}): {_nine_identities(nine)}"
-            print(f"{head}  [{verdict}]" if verdict else head)
+        for nine in nines:
+            print(f"({nine.a}, {nine.b}, {nine.c}): {_nine_identities(nine)}  "
+                  f"[{_verdict_str(nine, classification)}]")
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +222,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         classification = classify_nine(nine)
     except ValueError as exc:
         raise InputDataError(str(exc)) from exc
-    _emit_nine_rows([(nine, classification)], args.format, None)
+    _emit_nine_rows([nine], classification, args.format, None)
     return 0
 
 
@@ -283,7 +280,7 @@ def cmd_family_gen(args: argparse.Namespace) -> int:
         print(f"family {tag} member ({_params_str(witness_params)}):")
         print(f"  ({nine.a}, {nine.b}, {nine.c}): {_nine_identities(nine)}")
     else:
-        _emit_nine_rows([(nine, classification)], fmt, None)
+        _emit_nine_rows([nine], classification, fmt, None)
     return 0
 
 
@@ -302,7 +299,7 @@ def cmd_family_check(args: argparse.Namespace) -> int:
         print(f"({nine.a}, {nine.b}, {nine.c}) with {_nine_identities(nine)}:")
         print(f"  {_verdict_str(nine, classification)}")
     else:
-        _emit_nine_rows([(nine, classification)], fmt, None)
+        _emit_nine_rows([nine], classification, fmt, None)
     return 0
 
 
@@ -324,8 +321,7 @@ def cmd_search_direct(args: argparse.Namespace) -> int:
         f"exponents <= {b.exp_max}): {len(rows)} anomalous triple(s)",
         file=sys.stderr,
     )
-    items = [(nine, Classification("anomalous", None)) for nine in rows]
-    _emit_nine_rows(items, args.format, args.max_bits)
+    _emit_nine_rows(rows, Classification("anomalous", None), args.format, args.max_bits)
     return 0
 
 
@@ -359,18 +355,14 @@ def cmd_search_pipeline(args: argparse.Namespace) -> int:
 
     outcome = run_pipeline(records, RunConfig(max_bits=args.max_bits))
     stats = outcome.stats
-    verified = stats.get("anomalous", 0) + stats.get("family", 0)
     print(
         f"pipeline: {stats.get('pairs', 0)} candidate pairing(s), "
-        f"{stats.get('systems', 0)} solved system(s), {verified} verified "
-        f"({stats.get('family', 0)} family, {stats.get('anomalous', 0)} anomalous)",
+        f"{stats.get('systems', 0)} solved system(s), "
+        f"{len(outcome.anomalous)} anomalous triple(s)",
         file=sys.stderr,
     )
-    items: list[tuple[NineTuple, Classification | None]] = [
-        (nine, Classification("anomalous", None)) for nine in outcome.anomalous
-    ]
-    items.extend(outcome.family)
-    _emit_nine_rows(items, args.format, args.max_bits)
+    anomalous = Classification("anomalous", None)
+    _emit_nine_rows(outcome.anomalous, anomalous, args.format, args.max_bits)
     return 0
 
 

@@ -351,6 +351,32 @@ class SolvedSystem:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
+    def solves(self, left: Identity, right: Identity) -> bool:
+        """Whether the four exponent equations of pair_and_solve hold for the pair."""
+        return (
+            left.y * self.beta == left.z * self.gamma
+            and right.y * self.beta == right.z * self.gamma + right.w
+            and self.x1 * self.alpha == left.z * self.gamma + left.w
+            and self.x2 * self.alpha == right.z * self.gamma
+            and (left.a1 == 1 or (self.x1, self.x2) == (left.x, right.x))
+        )
+
+
+def _check_pair(left: Identity, right: Identity) -> None:
+    """Raise ValueError unless left and right form a pair that can be solved."""
+    if (left.carrier, right.carrier) != ("a", "b"):
+        raise ValueError(
+            f"pairing takes carrier 'a' then carrier 'b', got "
+            f"{left.carrier!r} then {right.carrier!r}"
+        )
+    if left.key() != right.key():
+        raise ValueError(
+            f"identities pair only when they share (g, a1, b1, c1): "
+            f"{left.key()} vs {right.key()}"
+        )
+    if left.a1 == 1 and left.b1 == 1:
+        raise ValueError("a1 and b1 cannot both be 1; the pair carries no content")
+
 
 def pair_and_solve(left: Identity, right: Identity) -> tuple[SolvedSystem | None, str | None]:
     """Solve the exponent system of a matched identity pair.
@@ -364,18 +390,7 @@ def pair_and_solve(left: Identity, right: Identity) -> tuple[SolvedSystem | None
     "nonpositive-gamma", "non-integral-gamma", "non-integral-beta",
     "non-integral-alpha" and "gamma-mismatch".
     """
-    if (left.carrier, right.carrier) != ("a", "b"):
-        raise ValueError(
-            f"pairing takes carrier 'a' then carrier 'b', got "
-            f"{left.carrier!r} then {right.carrier!r}"
-        )
-    if left.key() != right.key():
-        raise ValueError(
-            f"identities pair only when they share (g, a1, b1, c1): "
-            f"{left.key()} vs {right.key()}"
-        )
-    if left.a1 == 1 and left.b1 == 1:
-        raise ValueError("a1 and b1 cannot both be 1; the pair carries no content")
+    _check_pair(left, right)
 
     w1, y1, z1 = left.w, left.y, left.z
     w2, y2, z2 = right.w, right.y, right.z
@@ -414,13 +429,7 @@ def pair_and_solve(left: Identity, right: Identity) -> tuple[SolvedSystem | None
         alpha = z2 * gamma // x2
 
     system = SolvedSystem(alpha, beta, gamma, x1, x2)
-    checks = (
-        y1 * beta == z1 * gamma,
-        y2 * beta == z2 * gamma + w2,
-        x1 * alpha == z1 * gamma + w1,
-        x2 * alpha == z2 * gamma,
-    )
-    if not all(checks):
+    if not system.solves(left, right):
         raise InternalInvariantError(
             f"solved system fails re-substitution: {system} for {left} / {right}"
         )
@@ -441,14 +450,12 @@ OVERSIZE_BITS = 600_000
 class ReconstructionResult:
     """Outcome of rebuilding a triple from a solved pair.
 
-    reason is None on success, in which case nine and verdict are set.
-    Failure reasons: "duplicate-solution", "oversize",
-    "solution-count:<n>", "corresponding-solutions" and "type-mismatch".
+    reason is None exactly when the triple verified, and nine is set
+    exactly then.  Failure reasons: "oversize" and "solution-count:<n>".
     """
 
     bases: tuple[int, int, int]
     nine: NineTuple | None
-    verdict: Classification | None
     reason: str | None
 
 
@@ -457,60 +464,61 @@ def reconstruct_and_verify(
 ) -> ReconstructionResult:
     """Rebuild (a, b, c) from a solved pair and verify it end to end.
 
-    The reconstructed triple must have exactly the two expected
-    solutions below a bit bound generously covering both, one of which
-    is Type A and the other Type B at every shared prime; the pair is
-    then classified as a family member or anomalous.
+    reason is None when the triple has exactly the two expected solutions
+    below a bit bound covering both, and nine then keeps the pair's order;
+    otherwise it is "oversize" (c^z above OVERSIZE_BITS) or
+    "solution-count:<n>".  Before any power is formed, the pair must be
+    one that pair_and_solve takes (else ValueError) and system must satisfy
+    its four exponent equations (else InternalInvariantError).  A verified
+    triple is then an anomalous pair, Type A then Type B, and anything else
+    raises InternalInvariantError:
+
+    * g, a1, b1, c1 are pairwise coprime, so the primes common to a, b, c
+      are those of g.  At each, with e = v_p(g), the equations make the
+      valuations of (a^x, b^y, c^z) e * (z1 gamma + w1, z1 gamma, z1 gamma)
+      in solution 1, Type A, and e * (z2 gamma, z2 gamma + w2, z2 gamma)
+      in solution 2, Type B.  So the solutions differ (w1 >= 1), and they
+      do not correspond: that needs a^x1 = b^y2, whose parts prime to g
+      give a1^x1 = b1^y2, so a1 = b1 = 1.
+    * A family member's own solutions have the profiles I A/A, II C/C,
+      III O/A and IV (A, O)/A: no A/B split in either base order.  Tags
+      depend only on term values, and in_family matches term multisets,
+      so a split needs a cross assignment, a^x1 and a^x2 being a member's
+      a-term of one solution and b-term of the other.  Then a and b both
+      have the primes of both member bases, all common to a, b and c, and
+      a1 = b1 = 1.  By the closed forms of families._gen_*, that happens
+      for I with h = 2 (the only splits) and III with d = 1 (Type O).
     """
+    _check_pair(left, right)
     g = left.g
+    sol1, sol2 = (system.x1, left.y, left.z), (system.x2, right.y, right.z)
+    # name the bases by their parts, since they may have too many digits to format
+    shape = (f"(g^{system.alpha} * {left.a1}, g^{system.beta} * {left.b1}, "
+             f"g^{system.gamma} * {left.c1}) with g = {g}")
+    if not system.solves(left, right):
+        raise InternalInvariantError(f"reconstructed solutions {sol1} and {sol2} do not "
+                                     f"satisfy the exponent equations of {shape}")
+
     a = g**system.alpha * left.a1
     b = g**system.beta * left.b1
     c = g**system.gamma * left.c1
     bases = (a, b, c)
+    z_bits = c.bit_length() * max(left.z, right.z)
+    if z_bits > OVERSIZE_BITS:
+        return ReconstructionResult(bases, None, "oversize")
 
-    sol1 = (system.x1, left.y, left.z)
-    sol2 = (system.x2, right.y, right.z)
-    if sol1 == sol2:
-        return ReconstructionResult(bases, None, None, "duplicate-solution")
-
-    if c.bit_length() * max(sol1[2], sol2[2]) > OVERSIZE_BITS:
-        return ReconstructionResult(bases, None, None, "oversize")
-
-    for x, y, z in (sol1, sol2):
-        if a**x + b**y != c**z:
-            # the bases may have too many digits to format; name them by
-            # their parts and exponents instead
-            raise InternalInvariantError(
-                f"reconstructed solution {x, y, z} does not substitute into "
-                f"(g^{system.alpha} * {left.a1}, g^{system.beta} * {left.b1}, "
-                f"g^{system.gamma} * {left.c1}) with g = {g}"
-            )
-
-    effective_bits = max(
-        max_bits,
-        sol1[2] * c.bit_length() + 1,
-        sol2[2] * c.bit_length() + 1,
-    )
     t = build_triple(a, b, c)
-    sset = enumerate_solutions(t, effective_bits)
+    sset = enumerate_solutions(t, max(max_bits, z_bits + 1))
     if sset.raw_count != 2:
-        return ReconstructionResult(
-            bases, None, None, f"solution-count:{sset.raw_count}"
-        )
+        return ReconstructionResult(bases, None, f"solution-count:{sset.raw_count}")
 
     nine = make_nine_tuple(a, b, c, *sol1, *sol2)
-    if nine.solutions_correspond():
-        return ReconstructionResult(bases, nine, None, "corresponding-solutions")
-
-    profile1 = type_profile(t, Solution(*sol1))
-    profile2 = type_profile(t, Solution(*sol2))
-    tags1 = {profile1.tag(p) for p in t.common_primes}
-    tags2 = {profile2.tag(p) for p in t.common_primes}
-    if (tags1, tags2) not in (({"A"}, {"B"}), ({"B"}, {"A"})):
-        return ReconstructionResult(bases, nine, None, "type-mismatch")
-
-    verdict = classify_nine(nine)
-    return ReconstructionResult(bases, nine, verdict, None)
+    tags = tuple(set(type_profile(t, Solution(*s)).by_prime.values()) for s in (sol1, sol2))
+    if (nine.solutions_correspond() or tags != ({"A"}, {"B"})
+            or classify_nine(nine).kind != "anomalous"):
+        raise InternalInvariantError(f"verified solutions {sol1} and {sol2} of {shape} "
+                                     f"are not an anomalous Type A / Type B pair")
+    return ReconstructionResult(bases, nine, None)
 
 
 # ---------------------------------------------------------------------------
@@ -518,19 +526,29 @@ def reconstruct_and_verify(
 # ---------------------------------------------------------------------------
 
 
+def _canonical_rows(nines: Iterable[NineTuple]) -> list[NineTuple]:
+    """The canonical forms of nines, each once, sorted by value."""
+    found: dict[tuple[int, ...], NineTuple] = {}
+    for nine in nines:
+        canon = canonical_nine(nine)
+        found[canon.as_tuple()] = canon
+    return [found[k] for k in sorted(found)]
+
+
 @dataclass(frozen=True)
 class PipelineOutcome:
     """Deduplicated pipeline results plus counting statistics.
 
-    anomalous and family hold canonical nine-tuples sorted by value;
-    family entries carry their classification.  stats counts identities
-    (carrier "a" as shapes_53, carrier "b" as shapes_54), pairings and
-    every rejection reason under a "reason:" prefix.
+    anomalous holds canonical nine-tuples sorted by value.  stats counts
+    identities (carrier "a" as shapes_53, carrier "b" as shapes_54),
+    pairings and every rejection reason under a "reason:" prefix.
+    family is always empty, since reconstruct_and_verify never passes a
+    family member; it stays only because perfbench's inproc_pipeline reads it.
     """
 
     anomalous: tuple[NineTuple, ...]
-    family: tuple[tuple[NineTuple, Classification], ...]
     stats: dict[str, int]
+    family: tuple[tuple[NineTuple, Classification], ...] = ()
 
 
 def run_pipeline(
@@ -586,8 +604,7 @@ def run_pipeline(
             if bucket is not None:
                 bucket[args[0] == "b"].append(args)
 
-    anomalous: dict[tuple[int, ...], NineTuple] = {}
-    family: dict[tuple[int, ...], tuple[NineTuple, Classification]] = {}
+    verified: list[NineTuple] = []
     for key in sorted(buckets):
         left_args, right_args = buckets[key]
         _, a1, b1, _ = key
@@ -606,22 +623,14 @@ def run_pipeline(
                     continue
                 stats["systems"] += 1
                 result = reconstruct_and_verify(left, right, system, config.max_bits)
-                if result.reason is not None:
-                    stats[f"reason:{result.reason}"] += 1
-                    continue
-                canon = canonical_nine(result.nine)
-                if result.verdict.kind == "anomalous":
-                    anomalous[canon.as_tuple()] = canon
+                if result.reason is None:
+                    verified.append(result.nine)
                 else:
-                    family[canon.as_tuple()] = (canon, classify_nine(canon))
+                    stats[f"reason:{result.reason}"] += 1
 
+    anomalous = tuple(_canonical_rows(verified))
     stats["anomalous"] = len(anomalous)
-    stats["family"] = len(family)
-    return PipelineOutcome(
-        tuple(anomalous[k] for k in sorted(anomalous)),
-        tuple(family[k] for k in sorted(family)),
-        dict(stats),
-    )
+    return PipelineOutcome(anomalous, dict(stats))
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +806,7 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
             if system is None:
                 continue
             result = reconstruct_and_verify(left, right, system, max_bits)
-            if result.verdict is not None and result.verdict.kind == "anomalous":
+            if result.reason is None:
                 rows.add(result.nine.as_tuple())
 
     for b1 in range(1 if a1 > 1 else 2, bounds.b1_max + 1):
@@ -1004,8 +1013,4 @@ def direct_search(
                 journal.write(json.dumps([g, a1, unit_rows], separators=(",", ":")) + "\n")
                 journal.flush()
 
-    found: dict[tuple[int, ...], NineTuple] = {}
-    for row in set(rows):
-        canon = canonical_nine(make_nine_tuple(*row))
-        found[canon.as_tuple()] = canon
-    return [found[k] for k in sorted(found)]
+    return _canonical_rows(make_nine_tuple(*row) for row in set(rows))

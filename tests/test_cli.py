@@ -20,6 +20,7 @@ import exptriple.search as search_module
 from exptriple.acceptance import CheckResult
 from exptriple.cli import JSON_FIELDS, main
 from exptriple.config import SearchBounds
+from exptriple.families import classify_nine, gen_family
 
 TINY_BOX = ("--a1-max", "6", "--g-max", "6", "--b1-max", "60",
             "--exp-max", "5", "--max-bits", "64")
@@ -385,7 +386,7 @@ class TestSearchPipeline:
         assert code == 0
         assert "(2, 6, 38)" in out
         assert "(3, 6, 15)" in out
-        assert "2 verified (0 family, 2 anomalous)" in err
+        assert "pipeline: 8 candidate pairing(s), 3 solved system(s), 2 anomalous triple(s)\n" in err
 
     def test_diagnostics_carry_line_numbers(self, capsys, tmp_path):
         path = tmp_path / "eqs.txt"
@@ -471,6 +472,17 @@ class TestSearchPipeline:
         assert code == 3
         assert out == ""
         assert "internal invariant violated: reconstructed solution" in err
+
+    def test_family_verdict_exits_three(self, capsys, tmp_path, monkeypatch):
+        # a verified pair is never a family member; one that were would be a fault
+        verdict = classify_nine(gen_family("I", {"u": 1, "h": 2}))
+        monkeypatch.setattr(search_module, "classify_nine", lambda nine: verdict)
+        path = tmp_path / "eqs.txt"
+        path.write_text(self.CLEAN, encoding="utf-8")
+        code, out, err = run(capsys, "search", "pipeline", str(path))
+        assert code == 3
+        assert out == ""
+        assert "not an anomalous Type A / Type B pair" in err
 
 
 class TestDefaults:

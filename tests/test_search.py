@@ -11,12 +11,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from exptriple.acceptance import _box_rows, _row_fits_box
-from exptriple.arith import introot, is_prime, perfect_powers, radical
+from exptriple.acceptance import _box_rows, _grid_iii, _grid_iv, _row_fits_box
+from exptriple.arith import factorize, introot, is_prime, perfect_powers, radical
 from exptriple.catalog import KNOWN_ANOMALOUS_ROWS, is_known_anomalous
 from exptriple.config import SearchBounds
 from exptriple.errors import InternalInvariantError, UsageError
-from exptriple.families import canonical_nine, make_nine_tuple
+from exptriple.families import canonical_nine, classify_nine, gen_family, make_nine_tuple
 import exptriple.search as search_module
 from exptriple.search import (
     OVERSIZE_BITS,
@@ -479,7 +479,7 @@ class TestReconstruct:
         )
         assert result.bases == (2, 6, 38)
         assert result.reason is None
-        assert result.verdict is not None and result.verdict.kind == "anomalous"
+        assert classify_nine(result.nine).kind == "anomalous"
         assert canonical_nine(result.nine).as_tuple() == (
             2, 6, 38, 1, 2, 1, 5, 1, 1,
         )
@@ -513,13 +513,16 @@ class TestReconstruct:
         monkeypatch.setattr(search_module, "OVERSIZE_BITS", 8)
         result = self._verify(self.LEFT_15, self.RIGHT_15)
         assert result.reason is None
-        assert result.verdict.kind == "anomalous"
+        assert classify_nine(result.nine).kind == "anomalous"
         monkeypatch.setattr(search_module, "OVERSIZE_BITS", 7)
         assert self._verify(self.LEFT_15, self.RIGHT_15).reason == "oversize"
 
-    def test_candidate_above_the_size_limit_is_oversize(self):
+    def test_candidate_above_the_size_limit_is_oversize(self, monkeypatch):
         # gamma scales c = 3^gamma * 5; take the first gamma whose c^2
-        # exceeds the limit
+        # exceeds the limit.  No system of this pair has such a gamma, so
+        # the check of its exponent equations is waived.
+        monkeypatch.setattr(SolvedSystem, "solves", lambda self, left, right: True)
+
         def size(gamma):
             return (3**gamma * 5).bit_length() * 2
 
@@ -544,6 +547,146 @@ class TestReconstruct:
         assert "(5, 1, 1)" in message
         assert "g^190000 * 19" in message
         assert len(message) < 200
+
+    def test_pure_power_pair_is_rejected_before_reconstruction(self):
+        left = Identity("a", 2, 1, 1, None, 1, 1, 3, 1)
+        right = Identity("b", 2, 3, 1, None, 1, 1, 3, 2)
+        system = SolvedSystem(alpha=1, beta=1, gamma=1, x1=2, x2=1)
+        with pytest.raises(ValueError, match="carries no content"):
+            reconstruct_and_verify(left, right, system, 128)
+
+    def test_system_that_breaks_an_exponent_equation_raises(self):
+        # gamma = 2 fits y1 * beta = z1 * gamma but not y2 * beta = z2 * gamma + w2
+        system = SolvedSystem(alpha=1, beta=2, gamma=2, x1=3, x2=4)
+        with pytest.raises(InternalInvariantError, match="do not satisfy the exponent equations"):
+            reconstruct_and_verify(self.LEFT_15, self.RIGHT_15, system, 128)
+
+    def test_system_with_other_exponents_of_a_real_left_base_raises(self):
+        # (1, 1, 1, 2, 3) satisfies the four equations of 2 * 3 + 5 = 11 and
+        # 3^4 + 2 * 5^4 = 11^3, but a1 = 3 carries x1 = 1 and x2 = 4 there
+        left = Identity("a", 2, 1, 3, 1, 5, 1, 11, 1)
+        right = Identity("b", 2, 1, 3, 4, 5, 4, 11, 3)
+        system = SolvedSystem(alpha=1, beta=1, gamma=1, x1=2, x2=3)
+        with pytest.raises(InternalInvariantError, match="do not satisfy the exponent equations"):
+            reconstruct_and_verify(left, right, system, 128)
+
+
+# ---------------------------------------------------------------------------
+# the family lemma of reconstruct_and_verify
+# ---------------------------------------------------------------------------
+
+
+def _valuation(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _type_of(valuations):
+    """The tag of one solution at one prime, from the valuations of its terms."""
+    least = min(valuations)
+    above = [tag for tag, v in zip("ABC", valuations) if v > least]
+    assert len(above) <= 1, valuations
+    return above[0] if above else "O"
+
+
+def _primitive_root(n, primes):
+    # n is a product of powers of primes
+    exps = {p: _valuation(n, p) for p in primes}
+    k = math.gcd(*exps.values())
+    return math.prod(p ** (e // k) for p, e in exps.items())
+
+
+def test_only_pure_power_family_members_have_the_split_of_a_verified_pair():
+    # A verified pair is Type A then Type B at every shared prime, and a
+    # nine-tuple is a family member when its two term multisets are a
+    # generated member's.  Read each member's terms as (a-term, b-term) in
+    # every way: both solution orders, both base orders, and each cross
+    # assignment, where a^x1 and a^x2 are an a-term and a b-term of the
+    # member, that has one base a and one base b.
+    members = [("I", {"u": u, "h": h}) for u in range(1, 8) for h in range(2, 9)]
+    members += [("II", {"t": t}) for t in range(1, 7)]
+    members += [("III", params) for params in _grid_iii()]
+    members += [("IV", params) for params in _grid_iv()]
+    assert len(members) == 832
+    crossed, split = set(), set()
+    for tag, params in members:
+        member = gen_family(tag, params)
+        name = (tag, tuple(sorted(params.items())))
+        primes = {p for n in (member.a, member.b, member.c) for p, _ in factorize(n).factors}
+        sols = [((member.a**s.x, member.b**s.y), member.c**s.z) for s in (member.s1, member.s2)]
+        for (terms1, c_term1), (terms2, c_term2) in (sols, sols[::-1]):
+            for i, j in itertools.product((0, 1), repeat=2):
+                a_term1, b_term1 = terms1[i], terms1[1 - i]
+                a_term2, b_term2 = terms2[j], terms2[1 - j]
+                four = (a_term1, b_term1, a_term2, b_term2)
+                shared = [p for p in primes if a_term1 % p == b_term1 % p == c_term1 % p == 0]
+                if i != j:
+                    if (_primitive_root(a_term1, primes) != _primitive_root(a_term2, primes)
+                            or _primitive_root(b_term1, primes) != _primitive_root(b_term2, primes)):
+                        continue
+                    crossed.add(name)
+                    # all four terms are powers of the shared primes: a1 = b1 = 1
+                    assert all(math.prod(p ** _valuation(n, p) for p in shared) == n
+                               for n in four)
+                tags = (
+                    {_type_of((_valuation(a_term1, p), _valuation(b_term1, p),
+                               _valuation(c_term1, p))) for p in shared},
+                    {_type_of((_valuation(a_term2, p), _valuation(b_term2, p),
+                               _valuation(c_term2, p))) for p in shared},
+                )
+                if tags == ({"A"}, {"B"}):
+                    assert i != j
+                    split.add(name)
+    assert len(crossed) == 77
+    assert sorted(split) == [("I", (("h", 2), ("u", u))) for u in range(1, 8)]
+
+
+def test_every_solved_system_is_type_a_then_type_b_at_every_prime_of_g(monkeypatch):
+    solved = []
+
+    def recording(left, right):
+        system, why = pair_and_solve(left, right)
+        if system is not None:
+            solved.append((left, right, system))
+        return system, why
+
+    monkeypatch.setattr(search_module, "pair_and_solve", recording)
+    direct_search(SearchBounds(g_max=10, a1_max=5, b1_max=500, exp_max=6))
+    n_direct = len(solved)
+    run_pipeline(generate_equations(1000, 10**6))
+    assert (n_direct, len(solved) - n_direct) == (13, 7)
+    for left, right, s in solved:
+        g = left.g
+        bases = (g**s.alpha * left.a1, g**s.beta * left.b1, g**s.gamma * left.c1)
+        for p, _ in factorize(g).factors:
+            va, vb, vc = (_valuation(n, p) for n in bases)
+            assert _type_of((va * s.x1, vb * left.y, vc * left.z)) == "A"
+            assert _type_of((va * s.x2, vb * right.y, vc * right.z)) == "B"
+
+
+@pytest.fixture
+def family_verdict(monkeypatch):
+    verdict = classify_nine(gen_family("I", {"u": 1, "h": 2}))
+    assert verdict.kind == "family"
+    monkeypatch.setattr(search_module, "classify_nine", lambda nine: verdict)
+
+
+class TestFamilyVerdictRaises:
+    MESSAGE = "not an anomalous Type A / Type B pair"
+
+    def test_run_pipeline(self, family_verdict):
+        records = ingest_equations(["16 3 19", "1 18 19"]).records
+        with pytest.raises(InternalInvariantError, match=self.MESSAGE):
+            run_pipeline(records)
+
+    def test_direct_search(self, family_verdict):
+        # the box of (2, 6, 38): 2^4 + 3 = 19 and 1 + 2 * 3^2 = 19
+        bounds = SearchBounds(a1_max=1, g_max=2, b1_max=3, exp_max=4)
+        with pytest.raises(InternalInvariantError, match=self.MESSAGE):
+            direct_search(bounds=bounds, workers=1)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +780,6 @@ class TestRunPipeline:
             "reason:non-integral-gamma": 17,
             "reason:gamma-mismatch": 1,
             "anomalous": 6,
-            "family": 0,
         }
 
 
@@ -920,7 +1062,8 @@ def _bucket_scan(g, a1, bounds, max_bits, tried=None):
                 if system is None:
                     continue
                 result = reconstruct_and_verify(left, right, system, max_bits)
-                if result.verdict is not None and result.verdict.kind == "anomalous":
+                if result.reason is None:
+                    assert classify_nine(result.nine).kind == "anomalous"
                     rows.add(result.nine.as_tuple())
     return sorted(rows)
 
@@ -970,7 +1113,7 @@ class TestCellScan:
          (4, 3, 40, 7, 0), (2, 1, 40, 7, 2), (10, 3, 50, 6, 2), (3, 1, 8, 7, 3)],
     )
     def test_pairs_what_bucket_scan_pairs(self, monkeypatch, g, a1, b1_max, exp_max, n_solved):
-        # rows hide family members, rejected candidates and a row met twice;
+        # rows hide rejected candidates and a row met twice;
         # the pairs handed to pair_and_solve show every match the cell made
         calls, solved = [], set()
 
