@@ -11,8 +11,8 @@ the test suite runs each check as one test.
 import math
 import random
 import time
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .arith import (
     as_power_of,
@@ -40,8 +40,7 @@ from .solve import (
 from .triple import build_triple, g_decomposition
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     number: int
     name: str
     passed: bool

@@ -15,15 +15,14 @@ carrying a Type-C solution carries nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalInvariantError
 from .solve import Solution
 from .triple import Triple
 
 
-@dataclass(frozen=True)
-class TypeProfile:
+class TypeProfile(NamedTuple):
     """Tags of one solution at every shared prime of its triple."""
 
     by_prime: dict[int, str]
@@ -52,12 +51,14 @@ def type_profile(t: Triple, s: Solution) -> TypeProfile:
     valuations differ at some prime, which cannot happen for data that
     actually solves the equation.
     """
-    if not t.common_primes:
+    common, exponents = t.common_primes, t.exponents
+    if not common:
         raise ValueError(f"{t} has no prime shared by all three bases")
+    x, y, z = s
     by_prime = {}
-    for p in t.common_primes:
-        ea, eb, ec = t.exponents[p]
-        compared = (ea * s.x, eb * s.y, ec * s.z)
+    for p in common:
+        ea, eb, ec = exponents[p]
+        compared = (ea * x, eb * y, ec * z)
         tag = _lenient_tag(compared)
         if tag is None:
             raise InternalInvariantError(

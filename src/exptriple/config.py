@@ -1,18 +1,43 @@
 """Run configuration: the direct-search box and the bit budget.
 
-Both types check their values on construction, so a bad value raises
-UsageError before any work starts.
+Both types check their values on construction, unpickling included, so a
+bad value raises UsageError before any work starts.  checked gives the
+same guarantee to the other records whose values must be checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from typing import NamedTuple, TypeVar
 
 from .errors import UsageError
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+_Record = TypeVar("_Record", bound=type)
+
+
+def checked(cls: _Record) -> _Record:
+    """Make every construction of the NamedTuple class cls run its __post_init__.
+
+    The hook is looked up on each construction, so a class may replace it
+    later.  Unpickling and copying construct through __new__ too, so a
+    record sent to a worker process is checked again on arrival; only
+    _make and _replace build the tuple directly and skip the check.
+    """
+    make = cls.__new__
+
+    @functools.wraps(make)
+    def __new__(klass, *args, **kwargs):
+        self = make(klass, *args, **kwargs)
+        self.__post_init__()
+        return self
+
+    cls.__new__ = staticmethod(__new__)
+    return cls
+
+
+@checked
+class SearchBounds(NamedTuple):
     """Box limits for the direct search over small constituent parts.
 
     a1_max and g_max bound the coprime seed bases, b1_max bounds the
@@ -34,8 +59,8 @@ class SearchBounds:
             raise UsageError("search bound g_max must be at least 2")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@checked
+class RunConfig(NamedTuple):
     """The bit budget for enumerated and verified values."""
 
     max_bits: int = 128

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import as_power_of, power_representations, two_adic
 from .errors import FamilyConstraintError
@@ -53,8 +53,7 @@ _PARAM_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class NineTuple:
+class NineTuple(NamedTuple):
     """A base triple with two distinct verified solutions."""
 
     a: int
@@ -108,8 +107,7 @@ def make_nine_tuple(
     return NineTuple(a, b, c, Solution(x1, y1, z1), Solution(x2, y2, z2))
 
 
-@dataclass(frozen=True)
-class FamilyWitness:
+class FamilyWitness(NamedTuple):
     """Proof of family membership: a generated member plus the matching.
 
     matching[i] is the index (0 or 1) of the input solution whose term
@@ -387,8 +385,7 @@ _PROPOSERS = {
 # classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Verdict for a nine-tuple: a family witness or anomalous."""
 
     kind: str                       # "family" or "anomalous"

@@ -32,10 +32,8 @@ import warnings
 from bisect import bisect_right
 from collections import Counter
 from contextlib import ExitStack
-from dataclasses import dataclass
 from itertools import combinations, product
-from multiprocessing import Pool
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .arith import (
     POWER_SIEVES,
@@ -47,7 +45,7 @@ from .arith import (
     power_representations,
 )
 from .classify import type_profile
-from .config import RunConfig, SearchBounds
+from .config import RunConfig, SearchBounds, checked
 from .errors import InputDataError, InternalInvariantError, UsageError
 from .families import Classification, NineTuple, canonical_nine, classify_nine, make_nine_tuple
 from .solve import Solution, enumerate_solutions
@@ -58,8 +56,7 @@ from .triple import build_triple
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquationRecord:
+class EquationRecord(NamedTuple):
     """A coprime equation A + B = C with the factorizations of A and B.
 
     gcd(A, B) = 1 together with A + B = C makes the three values
@@ -91,8 +88,7 @@ def make_equation(A: int, B: int, C: int) -> EquationRecord:
     return EquationRecord(A, B, C, factorize(A), factorize(B))
 
 
-@dataclass(frozen=True)
-class IngestReport:
+class IngestReport(NamedTuple):
     """Accepted equations plus per-line diagnostics for rejected input."""
 
     records: tuple[EquationRecord, ...]
@@ -217,8 +213,8 @@ def generate_equations(rad_bound: int, height_bound: int) -> list[EquationRecord
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Identity:
+@checked
+class Identity(NamedTuple):
     """Coprime identity with one term carrying g^w.
 
     carrier "a" is g^w * a1^x + b1^y = c1^z and carrier "b" is
@@ -331,8 +327,8 @@ def decompose(record: EquationRecord) -> list[Identity]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SolvedSystem:
+@checked
+class SolvedSystem(NamedTuple):
     """Positive integer solution of the paired exponent system.
 
     alpha, beta, gamma scale g into the three bases; x1 and x2 are the
@@ -446,8 +442,7 @@ def pair_and_solve(left: Identity, right: Identity) -> tuple[SolvedSystem | None
 OVERSIZE_BITS = 600_000
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
+class ReconstructionResult(NamedTuple):
     """Outcome of rebuilding a triple from a solved pair.
 
     reason is None exactly when the triple verified, and nine is set
@@ -535,8 +530,7 @@ def _canonical_rows(nines: Iterable[NineTuple]) -> list[NineTuple]:
     return [found[k] for k in sorted(found)]
 
 
-@dataclass(frozen=True)
-class PipelineOutcome:
+class PipelineOutcome(NamedTuple):
     """Deduplicated pipeline results plus counting statistics.
 
     anomalous holds canonical nine-tuples sorted by value.  stats counts
@@ -1003,6 +997,8 @@ def direct_search(
         if workers == 1 or not tasks:
             produced = map(_search_unit, tasks)
         else:
+            from multiprocessing import Pool
+
             size = min(workers, len(tasks))
             pool = stack.enter_context(Pool(size))
             # many cells per task keep dispatch cheap; 16 chunks per worker balance the load

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arith import as_power_of, two_adic
@@ -274,8 +273,7 @@ def enumerate_solutions(t: Triple, max_bits: int) -> SolutionSet:
     return SolutionSet(t, max_bits, tuple(found), classes)
 
 
-@dataclass(frozen=True)
-class SpecialShape:
+class SpecialShape(NamedTuple):
     """A matched many-solution base shape with its parameters.
 
     tags: "coprime-352" for {3,5} against 2; "two-two" for (2, 2, 2^e*3);

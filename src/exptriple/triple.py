@@ -10,7 +10,6 @@ search layers work with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
 
@@ -46,11 +45,31 @@ class Triple(NamedTuple):
 
 
 def _peel(n: int, p: int) -> tuple[int, int]:
-    """The exponent of p in n and the part of n that p does not divide."""
+    """The exponent of p in n and the part of n that p does not divide.
+
+    The first eight powers come off one division at a time.  A longer run
+    goes on dividing by p, p^2, p^4, ..., p^(2^(K-1)) while they divide;
+    once p^(2^K) does not, the exponent left is below 2^K, and the same
+    powers from the largest down, each tried once, take off its binary
+    digits.  An exponent e then costs O(log e) divisions instead of e.
+    """
     e = 0
-    while n % p == 0:
+    while e < 8 and n % p == 0:
         n //= p
         e += 1
+    if e < 8:
+        return e, n
+    powers = []
+    q = p
+    while n % q == 0:
+        n //= q
+        e += 1 << len(powers)
+        powers.append(q)
+        q *= q
+    for k in reversed(range(len(powers))):
+        if n % powers[k] == 0:
+            n //= powers[k]
+            e += 1 << k
     return e, n
 
 
@@ -77,8 +96,7 @@ def build_triple(a: int, b: int, c: int) -> Triple:
     return Triple(a, b, c, common, exponents, a1, b1, c1)
 
 
-@dataclass(frozen=True)
-class GDecomposition:
+class GDecomposition(NamedTuple):
     """A proportional subset of the common primes collapsed to one base g.
 
     g carries each prime of the subset to its primitive exponent, so the

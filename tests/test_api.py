@@ -1,5 +1,7 @@
 """Tests for the package's export list and its value records."""
 
+import pickle
+
 import pytest
 
 import exptriple
@@ -54,3 +56,85 @@ def test_value_records_are_tuples():
     x, y, z = s
     assert (x, y, z) == s == (5, 1, 1)
     assert exptriple.factorize(12) == (12, ((2, 2), (3, 1)))
+
+
+def _records():
+    """One instance of each record of the package, by class name."""
+    from exptriple.acceptance import CheckResult
+
+    t = exptriple.build_triple(2, 6, 38)
+    nine = exptriple.make_nine_tuple(2, 6, 38, 1, 2, 1, 5, 1, 1)
+    member = exptriple.gen_family("I", {"u": 1, "h": 3})
+    left = exptriple.Identity("a", 3, 1, 1, None, 2, 1, 5, 1)
+    right = exptriple.Identity("b", 3, 1, 1, None, 2, 3, 5, 2)
+    system, _ = exptriple.pair_and_solve(left, right)
+    report = exptriple.ingest_equations(["16 3 19", "1 18 19"])
+    records = [
+        report.records[0],
+        report,
+        left,
+        system,
+        exptriple.reconstruct_and_verify(left, right, system, 128),
+        exptriple.run_pipeline(report.records),
+        nine,
+        exptriple.in_family(member),
+        exptriple.classify_nine(nine),
+        exptriple.detect_special_case(exptriple.build_triple(3, 5, 2)),
+        exptriple.g_decomposition(t, {2}),
+        exptriple.type_profile(t, exptriple.Solution(1, 2, 1)),
+        exptriple.SearchBounds(),
+        exptriple.RunConfig(),
+        CheckResult(1, "name", True, "detail", 0.5),
+    ]
+    return {type(r).__name__: r for r in records}
+
+
+_RECORDS = _records()
+_MODULES = ("arith", "classify", "config", "families", "search", "solve", "triple")
+
+
+def test_every_record_class_has_an_instance_here():
+    import exptriple.acceptance
+
+    modules = [exptriple.acceptance, *(getattr(exptriple, m) for m in _MODULES)]
+    classes = {
+        name for module in modules for name, value in vars(module).items()
+        if isinstance(value, type) and issubclass(value, tuple) and hasattr(value, "_fields")
+    }
+    assert classes == set(_RECORDS) | {"Factored", "Triple", "Solution", "SolutionSet"}
+
+
+# each record that checks its values, with one field and a value it refuses
+_CHECKED = [
+    ("SearchBounds", "g_max", 1, exptriple.UsageError),
+    ("RunConfig", "max_bits", 0, exptriple.UsageError),
+    ("Identity", "c1", 4, ValueError),
+    ("SolvedSystem", "gamma", 0, ValueError),
+]
+
+
+@pytest.mark.parametrize("name, field, bad, error", _CHECKED, ids=[c[0] for c in _CHECKED])
+def test_checked_records_check_on_construction_and_unpickling(name, field, bad, error):
+    record = _RECORDS[name]
+    assert pickle.loads(pickle.dumps(record)) == record
+    with pytest.raises(error):
+        type(record)(**{**record._asdict(), field: bad})
+    # _replace skips the check, so it can make the value that unpickling must refuse
+    unchecked = record._replace(**{field: bad})
+    with pytest.raises(error):
+        pickle.loads(pickle.dumps(unchecked))
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_records_are_immutable(name):
+    record = _RECORDS[name]
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], record[0])
+    with pytest.raises(AttributeError):
+        record.unknown = 1
+
+
+def test_search_bounds_repr():
+    assert repr(exptriple.SearchBounds()) == (
+        "SearchBounds(a1_max=20, g_max=20, b1_max=200, exp_max=6)"
+    )

@@ -1,4 +1,9 @@
-"""Every name a module of the package imports is used in that module."""
+"""Import rules for the modules of the package.
+
+Every name a module imports is used in that module; no module imports
+dataclasses; multiprocessing is imported only inside a function, so
+that `import exptriple` does not load it.
+"""
 
 import ast
 from pathlib import Path
@@ -36,3 +41,51 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _imported(node: ast.AST) -> set[str]:
+    """Top-level names of the modules an absolute import statement loads."""
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return {node.module.split(".")[0]}
+    return set()
+
+
+def all_imports(source: str) -> set[str]:
+    return set().union(*(_imported(node) for node in ast.walk(ast.parse(source))))
+
+
+def imports_outside_functions(source: str) -> set[str]:
+    """Modules imported where running the module, or a class body, loads them."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update(_imported(child))
+                visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_finds_imports_outside_functions():
+    source = (
+        "import os.path, sys\nfrom . import arith\nfrom json import dumps\n"
+        "class C:\n    import csv\n    def f(self):\n        import math\n"
+        "def g():\n    from multiprocessing import Pool\n"
+        "if sys:\n    import random\n"
+    )
+    assert imports_outside_functions(source) == {"os", "sys", "json", "csv", "random"}
+    assert all_imports(source) == {"os", "sys", "json", "csv", "math", "multiprocessing", "random"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    assert "dataclasses" not in all_imports(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_multiprocessing_only_inside_functions(path):
+    assert "multiprocessing" not in imports_outside_functions(path.read_text(encoding="utf-8"))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -126,6 +127,52 @@ class TestBuildTriple:
         assert t.a1 == a // math.prod(p ** fa[p] for p in common)
         assert t.b1 == b // math.prod(p ** fb[p] for p in common)
         assert t.c1 == c // math.prod(p ** fc[p] for p in common)
+
+
+def _plain_peel(n, p):
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e, n
+
+
+class TestPeel:
+    def test_every_exponent_around_the_switch(self):
+        # single divisions up to the eighth, then every doubling walk up to 2^6
+        for p in (2, 3, 10_007):
+            for e in range(70):
+                for cofactor in (1, 5, p + 1):
+                    n = p**e * cofactor
+                    assert triple_module._peel(n, p) == _plain_peel(n, p) == (e, cofactor)
+
+    @given(
+        st.sampled_from((2, 3, 5, 7)),
+        st.integers(min_value=0, max_value=20_000),
+        st.integers(min_value=1, max_value=10**6),
+    )
+    @example(2, 20_000, 1)
+    @example(3, 2**14 - 1, 2)
+    @example(2, 2**14, 3)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_plain_loop(self, p, e, cofactor):
+        # the cofactor may hold p too, which the plain loop counts as well
+        n = p**e * cofactor
+        assert triple_module._peel(n, p) == _plain_peel(n, p)
+
+    @pytest.mark.parametrize(
+        "p, exponents, parts",
+        [(2, (1, 19991, 19990), (1, 5, 3)), (3, (1, 20000, 19000), (1, 2, 5))],
+    )
+    def test_long_runs_take_few_divisions(self, p, exponents, parts):
+        # the bound separates the doubling walk (about 2 ms) from one division per
+        # exponent (0.14 and 0.21 s)
+        bases = [p**e * part for e, part in zip(exponents, parts)]
+        start = time.perf_counter()
+        t = build_triple(*bases)
+        assert time.perf_counter() - start < 0.05
+        assert t.exponents == {p: exponents}
+        assert (t.a1, t.b1, t.c1) == parts
 
 
 class TestGDecomposition:
