@@ -19,7 +19,6 @@ from .arith import (
     lte_odd,
     power_representations,
     prime_support_subset,
-    radical,
     same_prime_set_scan,
     two_adic,
     two_adic_profile,
@@ -135,7 +134,6 @@ __all__ = [
     "power_of_two_solutions",
     "power_representations",
     "prime_support_subset",
-    "radical",
     "reconstruct_and_verify",
     "run_pipeline",
     "same_prime_set_scan",

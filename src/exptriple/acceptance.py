@@ -28,7 +28,14 @@ from .catalog import KNOWN_ANOMALOUS_ROWS, is_known_anomalous
 from .classify import type_profile
 from .config import SearchBounds
 from .errors import FamilyConstraintError, ProportionalityError
-from .families import canonical_nine, classify_nine, gen_family, in_F, make_nine_tuple
+from .families import (
+    _family_power,
+    canonical_nine,
+    classify_nine,
+    gen_family,
+    in_F,
+    make_nine_tuple,
+)
 from .search import direct_search
 from .solve import (
     correspond,
@@ -200,8 +207,7 @@ def _fits(c_val: int, k: int) -> bool:
 def _grid_iii(d_max=20, k_max=8, g_cap=10**4):
     for d in range(1, d_max + 1):
         for k in range(2, k_max + 1):
-            target = (d + 1) ** k - d**k
-            for g, w in power_representations(target):
+            for g, w in power_representations(_family_power("III", d, k)):
                 if g % 2 == 0 or g < 3 or g > g_cap:
                     continue
                 for j in range(1, w + 1):
@@ -216,16 +222,12 @@ def _grid_iii(d_max=20, k_max=8, g_cap=10**4):
 def _grid_iv(d_max=21, k_max=8):
     for d in range(3, d_max + 1, 2):
         for k in range(2, k_max + 1, 2):
-            target = (d + 2) ** k - d**k
-            odd_part = target >> two_adic(target)
-            if odd_part == 1:
-                continue
             h = two_adic(2 * d + 2)
             v = two_adic(k)
             shift = h + v - k  # the exact 2-exponent i*w/j must equal
             if shift < 1:
                 continue
-            for g, w in power_representations(odd_part):
+            for g, w in power_representations(_family_power("IV", d, k)):
                 if g % 2 == 0 or g < 3:
                     continue
                 for j in range(1, w + 1):

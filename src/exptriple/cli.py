@@ -20,7 +20,7 @@ import sys
 import warnings
 from typing import Callable, Sequence
 
-from .arith import as_power_of, two_adic
+from .arith import as_power_of
 from .catalog import is_known_anomalous
 from .classify import type_profile
 from .config import RunConfig, SearchBounds
@@ -34,6 +34,7 @@ from .families import (
     FAMILY_TAGS,
     Classification,
     NineTuple,
+    _family_power,
     classify_nine,
     gen_family,
     make_nine_tuple,
@@ -240,12 +241,15 @@ def _parse_family_params(tokens: Sequence[str]) -> dict[str, int]:
 
 
 def _derive_w(tag: str, params: dict[str, int]) -> int:
-    """Fill in the power exponent w when the caller left it out."""
+    """Fill in the power exponent w when the caller left it out.
+
+    gen_family rejects a g below 2 or a d or k below 1 whatever w is, so
+    there w = 1 stands in and gen_family names the broken constraint.
+    """
     g, d, k = params["g"], params["d"], params["k"]
-    diff = (d + 1) ** k - d**k if tag == "III" else (d + 2) ** k - d**k
-    if tag == "IV":
-        diff >>= two_adic(diff)
-    w = as_power_of(g, diff) if g >= 2 and diff >= 1 else None
+    if g < 2 or d < 1 or k < 1:
+        return 1
+    w = as_power_of(g, _family_power(tag, d, k))
     if w is None:
         target = (
             "(d+1)^k - d^k" if tag == "III"
@@ -262,13 +266,7 @@ def cmd_family_gen(args: argparse.Namespace) -> int:
     params = _parse_family_params(args.params)
     if tag in ("III", "IV") and "w" not in params and {"g", "d", "k"} <= set(params):
         params["w"] = _derive_w(tag, params)
-    try:
-        nine = gen_family(tag, params)
-    except FamilyConstraintError:
-        raise
-    except ValueError as exc:
-        # wrong parameter names for the tag: a command-line mistake
-        raise UsageError(str(exc)) from exc
+    nine = gen_family(tag, params)
     witness_params = {k: params[k] for k in sorted(params)}
     classification = classify_nine(nine)
     if classification.kind != "family":

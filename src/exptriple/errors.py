@@ -35,8 +35,8 @@ class FamilyConstraintError(ValueError):
 class UsageError(ValueError):
     """The caller asked for something the interface does not offer.
 
-    Covers malformed command lines and out-of-range configuration
-    values.  Maps to exit code 1 in the CLI.
+    Covers malformed command lines, out-of-range configuration values and
+    parameter names a family does not take.  Maps to exit code 1 in the CLI.
     """
 
 

@@ -40,8 +40,8 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from .arith import as_power_of, power_representations, two_adic
-from .errors import FamilyConstraintError
-from .solve import Solution
+from .errors import FamilyConstraintError, UsageError
+from .solve import Solution, term_multiset
 
 FAMILY_TAGS = ("I", "II", "III", "IV")
 
@@ -71,7 +71,7 @@ class NineTuple(NamedTuple):
 
     def term_pairs(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """The two left-hand term multisets, each as a sorted pair."""
-        return (_terms(self.a, self.b, self.s1), _terms(self.a, self.b, self.s2))
+        return (term_multiset(self, self.s1), term_multiset(self, self.s2))
 
     def solutions_correspond(self) -> bool:
         first, second = self.term_pairs()
@@ -79,11 +79,6 @@ class NineTuple(NamedTuple):
 
     def __str__(self) -> str:
         return "(%d,%d,%d, %d,%d,%d, %d,%d,%d)" % self.as_tuple()
-
-
-def _terms(a: int, b: int, s: Solution) -> tuple[int, int]:
-    ax, by = a**s.x, b**s.y
-    return (ax, by) if ax <= by else (by, ax)
 
 
 def make_nine_tuple(
@@ -125,7 +120,7 @@ def _require_keys(tag: str, params: dict[str, int]) -> None:
     got = set(params)
     extra = got - want - ({"h", "v"} if tag == "IV" else set())
     if extra or not want <= got:
-        raise ValueError(
+        raise UsageError(
             f"family {tag} takes parameters {sorted(want)}, got {sorted(got)}"
         )
 
@@ -172,6 +167,18 @@ def _gen_ii(t: int) -> NineTuple:
     return make_nine_tuple(2 * 3**t, 3, 3, 1, t, t + 1, 3, 3 * t, 3 * t + 2)
 
 
+def _family_power(tag: str, d: int, k: int) -> int:
+    """The g^w that a family III or IV member with d and k needs.
+
+    That is (d+1)^k - d^k for III and the greatest odd divisor of
+    (d+2)^k - d^k for IV.  Both are positive integers for positive d and k.
+    """
+    if tag == "III":
+        return (d + 1) ** k - d**k
+    diff = (d + 2) ** k - d**k
+    return diff >> two_adic(diff)
+
+
 def _gen_iii(g: int, j: int, u: int, d: int, k: int, w: int) -> NineTuple:
     bad = []
     if g < 3 or g % 2 == 0:
@@ -183,7 +190,7 @@ def _gen_iii(g: int, j: int, u: int, d: int, k: int, w: int) -> NineTuple:
         bad.append("k must exceed 1")
     if bad:
         raise FamilyConstraintError("III", bad)
-    if (d + 1) ** k - d**k != g**w:
+    if _family_power("III", d, k) != g**w:
         bad.append("g^w must equal (d+1)^k - d^k")
     if w % j:
         bad.append("j must divide w")
@@ -215,9 +222,7 @@ def _gen_iv(
         bad.append("k must be even and positive")
     if bad:
         raise FamilyConstraintError("IV", bad)
-    diff = (d + 2) ** k - d**k
-    odd_part = diff >> two_adic(diff)
-    if g**w != odd_part:
+    if g**w != _family_power("IV", d, k):
         bad.append("g^w must equal the greatest odd divisor of (d+2)^k - d^k")
     if w % j:
         bad.append("j must divide w")
@@ -348,7 +353,7 @@ def _propose_iii(p: int, q: int, second: tuple[int, int]) -> Iterator[dict[str, 
         k = as_power_of(q, q2)
         if k is None:
             continue
-        target = (d + 1) ** k - d**k            # g^w
+        target = _family_power("III", d, k)     # g^w
         for g, e in power_representations(p):   # e = ju
             w = as_power_of(g, target)
             if w is not None:
@@ -364,10 +369,9 @@ def _propose_iv(p: int, q: int, second: tuple[int, int]) -> Iterator[dict[str, i
         k = as_power_of(q, q2)
         if k is None:
             continue
-        diff = (d + 2) ** k - d**k
-        odd_part = diff >> two_adic(diff)       # g^w
+        target = _family_power("IV", d, k)      # g^w
         for g, m in power_representations(p >> big_e):     # m = ju
-            w = as_power_of(g, odd_part) if g > 1 else None
+            w = as_power_of(g, target) if g > 1 else None
             if w is not None:
                 for u in _divisors(math.gcd(big_e, m)):
                     yield {

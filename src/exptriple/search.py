@@ -25,7 +25,6 @@ reordering and return them in sorted order.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 import warnings
@@ -374,6 +373,51 @@ def _check_pair(left: Identity, right: Identity) -> None:
         raise ValueError("a1 and b1 cannot both be 1; the pair carries no content")
 
 
+def _solve_row(
+    name: str, p1: int, z1: int, p2: int, z2: int, w: int, gamma: int | None = None,
+) -> tuple[int | None, str | None]:
+    """Solve p1 * s = z1 * gamma and p2 * s = z2 * gamma + w in positive integers.
+
+    Eliminating s leaves (p2 * z1 - z2 * p1) * gamma = w * p1.  Returns
+    (gamma, None), or (None, reason) for the first check that fails, in the
+    order of pair_and_solve's reasons: a given gamma must be met
+    ("gamma-mismatch"), and name names s in "non-integral-<name>".
+    """
+    den = p2 * z1 - z2 * p1
+    if den == 0:
+        return None, "degenerate-denominator"
+    if den < 0:
+        return None, "nonpositive-gamma"
+    found, rem = divmod(w * p1, den)
+    if rem:
+        return None, "non-integral-gamma"
+    if gamma is not None and found != gamma:
+        return None, "gamma-mismatch"
+    if z1 * found % p1:
+        return None, f"non-integral-{name}"
+    return found, None
+
+
+def _solve_exponents(
+    w1: int, x1: int | None, y1: int, z1: int, x2: int | None, w2: int, y2: int, z2: int,
+) -> tuple[SolvedSystem | None, str | None]:
+    """pair_and_solve's answer from the pair's eight exponents alone.
+
+    The beta row fixes gamma, and the alpha row must force the same one.
+    x1 and x2 are None for a unit a1: alpha = 1 then solves the alpha row.
+    """
+    gamma, why = _solve_row("beta", y1, z1, y2, z2, w2)
+    if why:
+        return None, why
+    beta = z1 * gamma // y1
+    if x1 is None:
+        return SolvedSystem(1, beta, gamma, z1 * gamma + w1, z2 * gamma), None
+    _, why = _solve_row("alpha", x2, z2, x1, z1, w1, gamma)
+    if why:
+        return None, why
+    return SolvedSystem(z2 * gamma // x2, beta, gamma, x1, x2), None
+
+
 def pair_and_solve(left: Identity, right: Identity) -> tuple[SolvedSystem | None, str | None]:
     """Solve the exponent system of a matched identity pair.
 
@@ -382,54 +426,19 @@ def pair_and_solve(left: Identity, right: Identity) -> tuple[SolvedSystem | None
     (g, a1, b1, c1), and a1 = b1 = 1 is rejected because both sides
     then collapse to pure powers of g.  Returns
     (system, None) on success and (None, reason) when no positive
-    integral solution exists; reasons are "degenerate-denominator",
-    "nonpositive-gamma", "non-integral-gamma", "non-integral-beta",
-    "non-integral-alpha" and "gamma-mismatch".
+    integral solution exists.  The first failing check gives the reason:
+    "degenerate-denominator", "nonpositive-gamma", "non-integral-gamma"
+    and "non-integral-beta" on the beta row (y's), then the first three,
+    "gamma-mismatch" and "non-integral-alpha" on the alpha row (x's).
     """
     _check_pair(left, right)
-
-    w1, y1, z1 = left.w, left.y, left.z
-    w2, y2, z2 = right.w, right.y, right.z
-
-    den = y2 * z1 - z2 * y1
-    if den == 0:
-        return None, "degenerate-denominator"
-    if den < 0:
-        return None, "nonpositive-gamma"
-    num = w2 * y1
-    if num % den:
-        return None, "non-integral-gamma"
-    gamma = num // den
-    if z1 * gamma % y1:
-        return None, "non-integral-beta"
-    beta = z1 * gamma // y1
-
-    if left.a1 == 1:
-        alpha = 1
-        x1 = z1 * gamma + w1
-        x2 = z2 * gamma
-    else:
-        x1, x2 = left.x, right.x
-        den2 = x1 * z2 - z1 * x2
-        if den2 == 0:
-            return None, "degenerate-denominator"
-        if den2 < 0:
-            return None, "nonpositive-gamma"
-        num2 = w1 * x2
-        if num2 % den2:
-            return None, "non-integral-gamma"
-        if num2 // den2 != gamma:
-            return None, "gamma-mismatch"
-        if z2 * gamma % x2:
-            return None, "non-integral-alpha"
-        alpha = z2 * gamma // x2
-
-    system = SolvedSystem(alpha, beta, gamma, x1, x2)
-    if not system.solves(left, right):
+    system, why = _solve_exponents(left.w, left.x, left.y, left.z,
+                                   right.x, right.w, right.y, right.z)
+    if system is not None and not system.solves(left, right):
         raise InternalInvariantError(
             f"solved system fails re-substitution: {system} for {left} / {right}"
         )
-    return system, None
+    return system, why
 
 
 # ---------------------------------------------------------------------------
@@ -658,43 +667,29 @@ def _exponent_plan(
         x1 * alpha = z1 * gamma + w1     x2 * alpha = z2 * gamma
 
     together with the (z1, z2) of those pairs.  The system splits into
-    two halves that share only (z1, z2, gamma): the first row gives gamma
-    from (y1, z1, y2, z2, w2) and needs beta integral, the second gives
-    gamma from (x1, z1, x2, z2, w1) and needs alpha integral.  Each half
-    is enumerated once and the two are joined on (z1, z2, gamma).  For a
-    unit a1, x1 and x2 are None: alpha = 1 then solves the second row
-    with x1 and x2 resolved, so every w1 joins every (z1, z2, gamma).
+    the two rows that _solve_row solves, which share only (z1, z2,
+    gamma): the beta row (y1, z1, y2, z2, w2) and the alpha row (x2, z2,
+    x1, z1, w1), whose z1 and z2 trade places.  So the solutions of one
+    row, tabled by (z1, z2, gamma), give the beta rows of a key and, under
+    the key with z1 and z2 swapped, its alpha rows.  For a unit a1, x1
+    and x2 are None: alpha = 1 then solves the alpha row with x1 and x2
+    resolved, so every w1 joins every (z1, z2, gamma).
     """
     exps = range(1, exp_max + 1)
-    b_half: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
-    for y1, z1, y2, z2 in product(exps, repeat=4):
-        den = y2 * z1 - z2 * y1
-        if den <= 0:
-            continue
-        for w2 in exps:
-            gamma, rem = divmod(w2 * y1, den)
-            if not rem and not z1 * gamma % y1:
-                b_half.setdefault((z1, z2, gamma), []).append((y1, y2, w2))
-
-    if unit_a1:
-        a_half = [(key, w1, None, None) for key in b_half for w1 in exps]
-    else:
-        a_half = []
-        for x1, z1, x2, z2 in product(exps, repeat=4):
-            den = x1 * z2 - z1 * x2
-            if den <= 0:
-                continue
-            for w1 in exps:
-                gamma, rem = divmod(w1 * x2, den)
-                if not rem and not z2 * gamma % x2:
-                    a_half.append(((z1, z2, gamma), w1, x1, x2))
+    rows: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
+    for p1, z1, p2, z2, w in product(exps, repeat=5):
+        gamma, why = _solve_row("s", p1, z1, p2, z2, w)
+        if not why:
+            rows.setdefault((z1, z2, gamma), []).append((p1, p2, w))
 
     lefts: dict[tuple[int, int | None, int], set[tuple[int, int]]] = {}
     rights: set[tuple[int | None, int, int]] = set()
-    for (z1, z2, gamma), w1, x1, x2 in a_half:
-        for y1, y2, w2 in b_half.get((z1, z2, gamma), ()):
-            lefts.setdefault((w1, x1, y1), set()).add((z1, z2))
-            rights.add((x2, w2, y2))
+    for (z1, z2, gamma), betas in rows.items():
+        alphas = [(None, None, w1) for w1 in exps] if unit_a1 else rows.get((z2, z1, gamma), ())
+        for x2, x1, w1 in alphas:
+            for y1, y2, w2 in betas:
+                lefts.setdefault((w1, x1, y1), set()).add((z1, z2))
+                rights.add((x2, w2, y2))
     return tuple((key, tuple(sorted(lefts[key]))) for key in sorted(lefts)), tuple(sorted(rights))
 
 
@@ -861,6 +856,7 @@ def _parse_cell(
     line: bytes, units: set[tuple[int, int]]
 ) -> tuple[tuple[int, int], list[tuple[int, ...]]] | None:
     """One journal cell line [g, a1, rows] of a box unit, or None."""
+    import json
     try:
         cell = json.loads(line)
     except ValueError:
@@ -889,6 +885,7 @@ def _read_journal(
     the file is not a journal of this run, and OSError when it cannot be
     read.
     """
+    import json
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -931,6 +928,7 @@ def _open_journal(
     UserWarning.  A path that cannot be read, truncated or created (a
     directory, a missing parent directory) raises InputDataError.
     """
+    import json
     try:
         try:
             cells, end = _read_journal(path, header, units)
@@ -969,10 +967,12 @@ def direct_search(
     the cells already journaled.  A torn last line is cut off; a file
     that is not a journal of this box and bit bound is discarded with a
     UserWarning; a path that cannot be read or written raises
-    InputDataError.
+    InputDataError.  A max_bits or a worker count below 1 raises
+    UsageError before any work starts or any journal is written.
     """
     if bounds is None:
         bounds = SearchBounds()
+    RunConfig(max_bits)
     if workers < 1:
         raise UsageError(f"worker count must be positive, got {workers}")
 
@@ -987,6 +987,7 @@ def direct_search(
     with ExitStack() as stack:
         done, journal = {}, None
         if checkpoint:
+            import json
             header = {"version": JOURNAL_VERSION, "box": box, "max_bits": max_bits}
             done, journal = _open_journal(checkpoint, header, set(units))
             stack.enter_context(journal)

@@ -51,7 +51,7 @@ def make_solution(t: Triple, x: int, y: int, z: int) -> Solution:
 
 
 def term_multiset(t: Triple, s: Solution) -> tuple[int, int]:
-    """The two left-hand terms of the solution, as a sorted pair."""
+    """The two left-hand terms of the solution, as a sorted pair (t may be a NineTuple)."""
     ax, by = t.a**s.x, t.b**s.y
     return (ax, by) if ax <= by else (by, ax)
 

@@ -3,8 +3,8 @@
 A triple splits each base into the part supported on the primes common to
 all three values and the part coprime to those primes.  When the exponent
 vectors of a subset of the common primes are proportional, that subset can
-be rewritten as a single common power g, which is what the descent and
-search layers work with.
+be rewritten as a single common power g.  Only acceptance criterion 7
+reads that collapse, to place a catalogue row in the direct-search box.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from exptriple.arith import (
     perfect_powers,
     power_representations,
     prime_support_subset,
-    radical,
     same_prime_set_scan,
     two_adic,
     two_adic_profile,
@@ -158,11 +157,6 @@ class TestIsPrime:
 
 
 class TestDerivedFunctions:
-    def test_radical(self):
-        assert radical(1) == 1
-        assert radical(8) == 2
-        assert radical(360) == 30
-
     def test_valuation(self):
         assert valuation(2, 40) == 3
         assert valuation(5, 40) == 1

@@ -2,7 +2,7 @@
 
 import math
 
-from exptriple.arith import radical
+from exptriple.arith import factorize
 from exptriple.catalog import (
     KNOWN_ANOMALOUS,
     KNOWN_ANOMALOUS_ROWS,
@@ -10,6 +10,10 @@ from exptriple.catalog import (
     is_known_anomalous,
 )
 from exptriple.families import classify_nine, in_family, make_nine_tuple
+
+
+def _radical(n):
+    return math.prod(factorize(n).primes)
 
 
 class TestCatalogRows:
@@ -42,9 +46,9 @@ class TestCatalogRows:
                 A, B, C = a**x // shared, b**y // shared, c**z // shared
                 assert A + B == C and math.gcd(A, B) == 1
                 assert C < SEARCHED_RADICAL_BOUND
-                assert radical(C) < SEARCHED_RADICAL_BOUND
-                assert radical(A * B * C) == radical(a * b * c)
-                triple_radicals.append(radical(A * B * C))
+                assert _radical(C) < SEARCHED_RADICAL_BOUND
+                assert _radical(A * B * C) == _radical(a * b * c)
+                triple_radicals.append(_radical(A * B * C))
         assert triple_radicals[::2] == triple_radicals[1::2]
         assert triple_radicals[::2] == [
             114, 66, 30, 582, 30, 770, 1_097_670, 2310, 103_530,

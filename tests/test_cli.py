@@ -213,6 +213,16 @@ class TestFamilyGen:
         assert code == 2
         assert "not a power of g" in err
 
+    @pytest.mark.parametrize(("params", "violation"), [
+        (("IV", "g=5", "d=3", "k=-2", "i=1", "j=1", "u=1"), "k must be even and positive"),
+        (("IV", "g=3", "d=-1", "k=2", "i=1", "j=1", "u=1"), "d must be odd and positive"),
+        (("III", "g=7", "d=1", "k=-1", "j=1", "u=1"), "k must exceed 1"),
+    ])
+    def test_out_of_range_d_or_k_without_w_is_named(self, capsys, params, violation):
+        # the family power of such d and k is no integer, or zero
+        code, out, err = run(capsys, "family", "gen", *params)
+        assert (code, out, err) == (2, "", f"rejected: {violation}\n")
+
     def test_wrong_parameter_names_are_usage(self, capsys):
         code, _, err = run(capsys, "family", "gen", "III", "g=7", "q=1")
         assert code == 1

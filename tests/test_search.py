@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from exptriple.acceptance import _box_rows, _grid_iii, _grid_iv, _row_fits_box
-from exptriple.arith import factorize, introot, is_prime, perfect_powers, radical
+from exptriple.arith import factorize, introot, is_prime, perfect_powers
 from exptriple.catalog import KNOWN_ANOMALOUS_ROWS, is_known_anomalous
 from exptriple.config import SearchBounds
 from exptriple.errors import InternalInvariantError, UsageError
@@ -26,6 +26,7 @@ from exptriple.search import (
     _cell_patterns,
     _exponent_plan,
     _search_unit,
+    _solve_exponents,
     decompose,
     direct_search,
     generate_equations,
@@ -130,7 +131,7 @@ class TestGenerateEquations:
             assert r.A + r.B == r.C
             assert r.A <= r.B
             assert math.gcd(r.A, r.B) == 1
-            assert radical(r.A * r.B * r.C) <= 30
+            assert math.prod(factorize(r.A * r.B * r.C).primes) <= 30
 
     def test_bad_bounds(self):
         with pytest.raises(UsageError):
@@ -865,6 +866,15 @@ class TestDirectSearch:
         with pytest.raises(UsageError):
             direct_search(bounds=TINY_BOX, workers=0)
 
+    @pytest.mark.parametrize("max_bits", [0, -7])
+    def test_bad_bit_bound_is_refused_before_any_work(self, tmp_path, monkeypatch, max_bits):
+        scanned = []
+        monkeypatch.setattr(search_module, "_search_unit", scanned.append)
+        path = tmp_path / "run.json"
+        with pytest.raises(UsageError, match="max_bits"):
+            direct_search(SearchBounds(1, 2, 3, 4), max_bits=max_bits, checkpoint=str(path))
+        assert scanned == [] and not path.exists()
+
     @pytest.mark.parametrize("exp_max", [1, 2])
     def test_boxes_with_the_smallest_exponents_find_nothing(self, exp_max):
         # exp_max 1 plans no pattern at all, and with exp_max 2 every planned
@@ -1175,6 +1185,74 @@ def _accepted_unit_pairs(exp_max):
         den = y2 * z1 - z2 * y1
         if den > 0 and not w2 * y1 % den and not z1 * (w2 * y1 // den) % y1:
             yield w1, None, y1, z1, None, w2, y2, z2
+
+
+def _documented_reason(w1, x1, y1, z1, x2, w2, y2, z2):
+    """The reason pair_and_solve's docstring gives for the first check that
+    fails, or None: the beta row, then the alpha row of a non-unit a1."""
+    den = y2 * z1 - z2 * y1
+    if den == 0:
+        return "degenerate-denominator"
+    if den < 0:
+        return "nonpositive-gamma"
+    if w2 * y1 % den:
+        return "non-integral-gamma"
+    gamma = w2 * y1 // den
+    if z1 * gamma % y1:
+        return "non-integral-beta"
+    if x1 is None:
+        return None
+    den = x1 * z2 - z1 * x2
+    if den == 0:
+        return "degenerate-denominator"
+    if den < 0:
+        return "nonpositive-gamma"
+    if w1 * x2 % den:
+        return "non-integral-gamma"
+    if w1 * x2 // den != gamma:
+        return "gamma-mismatch"
+    if z2 * gamma % x2:
+        return "non-integral-alpha"
+    return None
+
+
+class TestSolveExponents:
+    """The exponent system of pair_and_solve on every pattern with
+    exponents up to 3: 6,561 with a real a1 and 729 with a unit one."""
+
+    @pytest.mark.parametrize(("unit_a1", "accepted", "reasons"), [
+        (False, _accepted_pairs, {
+            "degenerate-denominator": 1434, "nonpositive-gamma": 3393,
+            "non-integral-gamma": 1388, "non-integral-beta": 135,
+            "gamma-mismatch": 149, "non-integral-alpha": 5,
+        }),
+        (True, _accepted_unit_pairs, {
+            "degenerate-denominator": 135, "nonpositive-gamma": 297,
+            "non-integral-gamma": 141, "non-integral-beta": 15,
+        }),
+    ])
+    def test_every_small_pattern(self, unit_a1, accepted, reasons):
+        exps = range(1, 4)
+        solved, counts = set(), Counter()
+        for w1, x1, y1, z1, x2, w2, y2, z2 in itertools.product(exps, repeat=8):
+            if unit_a1:
+                if (x1, x2) != (1, 1):
+                    continue
+                x1 = x2 = None
+            pattern = (w1, x1, y1, z1, x2, w2, y2, z2)
+            system, why = _solve_exponents(*pattern)
+            assert (system is None) == (why is not None)
+            assert why == _documented_reason(*pattern)
+            if system is None:
+                counts[why] += 1
+                continue
+            alpha, beta, gamma, sx1, sx2 = system
+            assert y1 * beta == z1 * gamma and y2 * beta == z2 * gamma + w2
+            assert sx1 * alpha == z1 * gamma + w1 and sx2 * alpha == z2 * gamma
+            assert unit_a1 or (sx1, sx2) == (x1, x2)
+            solved.add(pattern)
+        assert solved == set(accepted(3))
+        assert counts == reasons
 
 
 def _plan_by_brute_force(pairs):

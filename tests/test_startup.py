@@ -58,6 +58,6 @@ def test_loads_every_module_the_tracer_and_the_cli_resolve(added):
     assert {f"exptriple.{m}" for m in wanted} <= added
 
 
-@pytest.mark.parametrize("module", ["dataclasses", "inspect", "multiprocessing"])
+@pytest.mark.parametrize("module", ["dataclasses", "inspect", "json", "multiprocessing"])
 def test_does_not_load(added, module):
     assert module not in added
