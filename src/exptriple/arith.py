@@ -13,7 +13,12 @@ import math
 import random
 from typing import NamedTuple
 
+from .errors import InputDataError
+
 _TRIAL_LIMIT = 10_000
+
+# Steps of Brent's rho (see _brent_rho) that one factorize call may take.
+_RHO_STEPS = 1 << 21
 
 # Witness set is deterministic for n < 3_317_044_064_679_887_385_961_981
 # (about 2^81).  The extra witnesses push reliable coverage far past the
@@ -63,10 +68,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int, rng: random.Random) -> int:
-    """One nontrivial factor of composite odd n (Brent's cycle variant)."""
+def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
+    """A nontrivial factor of composite n (Brent's cycle variant) and the budget left.
+
+    One step is one map y -> y*y + c.  Returns (1, budget) as soon as the
+    next block of steps would overrun the budget, before running it.
+    """
     if n % 2 == 0:
-        return 2
+        return 2, budget
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -74,25 +83,34 @@ def _brent_rho(n: int, rng: random.Random) -> int:
         g = r = q = 1
         x = ys = y
         while g == 1:
+            if r > budget:
+                return 1, budget
+            budget -= r
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(m, r - k)):
+                block = min(m, r - k)
+                if block > budget:
+                    return 1, budget
+                budget -= block
+                for _ in range(block):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += m
             r <<= 1
         if g == n:
+            # back up from ys one step at a time, within the block just run
             g = 1
             while g == 1:
+                budget -= 1
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
-            return g
+            return g, budget
 
 
 class Factored(NamedTuple):
@@ -118,9 +136,12 @@ def factorize(n: int) -> Factored:
     cofactor is 1 or a prime and is recorded as it is.  A cofactor left
     after the whole table is split by deterministic Miller-Rabin, a
     perfect-power test and Brent's rho.  Rho takes about sqrt(p) steps to
-    split off the least prime p of a cofactor, so a cofactor with two
-    prime factors above about 2^60 is out of reach.  factorize(1) has no
-    factors.
+    split off the least prime p of a cofactor, and one call gets 2^21
+    steps in all (_RHO_STEPS; about 0.7 s on a 125-bit cofactor).  So
+    it splits off least primes of up to about 36 bits and mostly gives
+    up from about 40 bits on: a cofactor with two prime factors that
+    large is out of reach, and factorize then raises InputDataError
+    naming n instead of running on.  factorize(1) has no factors.
     """
     if n < 1:
         raise ValueError(f"factorize requires a positive integer, got {n}")
@@ -137,6 +158,7 @@ def factorize(n: int) -> Factored:
             n //= p
     if n > 1:
         rng = random.Random(n)
+        budget = _RHO_STEPS
         stack = [(n, 1)]
         while stack:
             m, k = stack.pop()
@@ -150,7 +172,14 @@ def factorize(n: int) -> Factored:
                 root, e = powers[-1]
                 stack.append((root, k * e))
                 continue
-            d = _brent_rho(m, rng)
+            d, budget = _brent_rho(m, rng, budget)
+            if d == 1:
+                bits = original.bit_length()
+                named = original if bits <= 1000 else f"a {bits}-bit integer"
+                raise InputDataError(
+                    f"cannot factor {named}: {_RHO_STEPS} steps of Brent's rho "
+                    f"split no factor off its {m.bit_length()}-bit cofactor"
+                )
             stack.append((d, k))
             stack.append((m // d, k))
     return Factored(original, tuple(sorted(found.items())))

@@ -243,20 +243,24 @@ def _parse_family_params(tokens: Sequence[str]) -> dict[str, int]:
 def _derive_w(tag: str, params: dict[str, int]) -> int:
     """Fill in the power exponent w when the caller left it out.
 
-    gen_family rejects a g below 2 or a d or k below 1 whatever w is, so
-    there w = 1 stands in and gen_family names the broken constraint.
+    w is read off the family power when that is a power of g.  Otherwise
+    gen_family runs with w = 1 in its place: it checks every range before
+    it compares g^w with the family power, and w = 1 breaks no range, so it
+    names each broken range.  Only when every range holds is the missing
+    w itself blamed.
     """
     g, d, k = params["g"], params["d"], params["k"]
-    if g < 2 or d < 1 or k < 1:
-        return 1
-    w = as_power_of(g, _family_power(tag, d, k))
-    if w is None:
-        target = (
-            "(d+1)^k - d^k" if tag == "III"
-            else "the greatest odd divisor of (d+2)^k - d^k"
-        )
-        raise FamilyConstraintError(tag, [f"{target} is not a power of g, so no w fits"])
-    return w
+    if g >= 2 and d >= 1 and k >= 1:
+        w = as_power_of(g, _family_power(tag, d, k))
+        if w is not None:
+            return w
+    try:
+        gen_family(tag, {**params, "w": 1})
+    except FamilyConstraintError as exc:
+        if not any(v.startswith("g^w must equal") for v in exc.violations):
+            raise
+    target = "(d+1)^k - d^k" if tag == "III" else "the greatest odd divisor of (d+2)^k - d^k"
+    raise FamilyConstraintError(tag, [f"{target} is not a power of g, so no w fits"])
 
 
 def cmd_family_gen(args: argparse.Namespace) -> int:

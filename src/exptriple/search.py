@@ -32,7 +32,7 @@ from bisect import bisect_right
 from collections import Counter
 from contextlib import ExitStack
 from itertools import combinations, product
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .arith import (
     POWER_SIEVES,
@@ -152,8 +152,12 @@ def generate_equations(rad_bound: int, height_bound: int) -> list[EquationRecord
 
     The cost follows the number of such pairs, whose radical product is
     at most rad_bound**(2/3), not the number of (A, C) pairs; the two
-    candidates of a pair are one dict lookup each.  The bounds (1000,
-    10**6) recall exactly catalogue rows 1-6 through run_pipeline.
+    candidates of a pair are one dict lookup each.  Every value up to
+    height_bound with a radical of at most rad_bound is tabled with its
+    radical for those lookups, but only the values whose radical is at
+    most rad_bound**(2/3) are sorted and grouped by radical, since only
+    they are read as V or W.  The bounds (1000, 10**6) recall exactly
+    catalogue rows 1-6 through run_pipeline.
     """
     if rad_bound < 6:
         raise UsageError("rad_bound below 6 admits no equation with C > 2")
@@ -177,12 +181,13 @@ def generate_equations(rad_bound: int, height_bound: int) -> list[EquationRecord
 
     extend(0, 1, 1)
 
-    # values grouped by radical, each group ascending
-    by_radical: dict[int, list[int]] = {}
-    for v in sorted(radical_of):
-        by_radical.setdefault(radical_of[v], []).append(v)
+    # values grouped by radical, each group ascending; only radicals up to
+    # t_max are read as r1 or r2, while S and D look up every radical
     t_max = introot(rad_bound * rad_bound, 3)
-    small = sorted(r for r in by_radical if r <= t_max)
+    by_radical: dict[int, list[int]] = {}
+    for v in sorted(v for v, r in radical_of.items() if r <= t_max):
+        by_radical.setdefault(radical_of[v], []).append(v)
+    small = sorted(by_radical)
 
     found: set[tuple[int, int]] = set()
     for i, r1 in enumerate(small):
@@ -295,12 +300,18 @@ def _carrier_splits(fac: Factored) -> list[tuple[int, int, int]]:
 
 def _identity_args(
     record: EquationRecord,
+    reps: Callable[[int], list[tuple[int, int]]],
+    splits: Callable[[Factored], list[tuple[int, int, int]]],
 ) -> Iterator[tuple[str, int, int, int, int | None, int, int, int, int]]:
-    """The Identity(...) argument tuple of every identity of one record, unvalidated."""
-    a_reps, b_reps, c_reps = (power_representations(n) for n in record.as_tuple())
+    """The Identity(...) argument tuple of every identity of one record, unvalidated.
+
+    reps is power_representations and splits _carrier_splits, or a cache
+    of either.
+    """
+    a_reps, b_reps, c_reps = reps(record.A), reps(record.B), reps(record.C)
     for term, fac, other_reps in ((record.A, record.fa, b_reps), (record.B, record.fb, a_reps)):
-        for g, w, content in _carrier_splits(fac):
-            for mb, me in power_representations(term // content):
+        for g, w, content in splits(fac):
+            for mb, me in reps(term // content):
                 for pb, pe in other_reps:
                     for cb, ce in c_reps:
                         yield ("a", g, w, mb, None if mb == 1 else me, pb, pe, cb, ce)
@@ -318,7 +329,8 @@ def decompose(record: EquationRecord) -> list[Identity]:
     cofactor as a1) and in the b-slot (carrier "b", the cofactor as b1).
     A term equal to 1 carries nothing.
     """
-    return [Identity(*args) for args in _identity_args(record)]
+    args = _identity_args(record, power_representations, _carrier_splits)
+    return [Identity(*a) for a in args]
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +582,11 @@ def run_pipeline(
     swapped.  Only a key that both carriers share can pair, so the second
     pass keeps the identities of the shared keys alone, as argument
     tuples, and Identity objects are built and validated only for the
-    keys that are paired.  Deferring validation loses no check:
+    keys that are paired.  Both passes share one table of each value's
+    perfect power representations and one of each term's carrier splits,
+    local to the call: each is computed once per distinct value, for
+    A, B, C and every cofactor alike, and freed before the pairs are
+    solved.  Deferring validation loses no check:
     on a record from make_equation (A + B = C, gcd(A, B) = 1) decompose
     cannot yield an invalid identity.  g is the primitive root of a
     nonempty prime subset's content, so g >= 2 and w >= 1; g, the
@@ -586,11 +602,12 @@ def run_pipeline(
     stats["records"] = len(unique)
     ordered = [unique[key] for key in sorted(unique)]
 
+    reps, splits = functools.cache(power_representations), functools.cache(_carrier_splits)
     # each carrier "b" identity comes with a carrier "a" one whose a1 and b1
     # are swapped, so the carrier "b" keys are the carrier "a" keys mirrored
     left_keys: set[tuple[int, int, int, int]] = set()
     for record in ordered:
-        for carrier, g, _, a1, _, b1, _, c1, _ in _identity_args(record):
+        for carrier, g, _, a1, _, b1, _, c1, _ in _identity_args(record, reps, splits):
             if carrier == "a":
                 left_keys.add((g, a1, b1, c1))
                 stats["shapes_53"] += 1
@@ -602,10 +619,11 @@ def run_pipeline(
     del left_keys
 
     for record in ordered:
-        for args in _identity_args(record):
+        for args in _identity_args(record, reps, splits):
             bucket = buckets.get((args[1], args[3], args[5], args[7]))
             if bucket is not None:
                 bucket[args[0] == "b"].append(args)
+    del reps, splits
 
     verified: list[NineTuple] = []
     for key in sorted(buckets):
@@ -651,7 +669,6 @@ def run_pipeline(
 )
 
 
-@functools.cache
 def _exponent_plan(
     exp_max: int, unit_a1: bool,
 ) -> tuple[tuple[tuple[tuple[int, int | None, int], tuple[tuple[int, int], ...]], ...],
@@ -673,7 +690,18 @@ def _exponent_plan(
     row, tabled by (z1, z2, gamma), give the beta rows of a key and, under
     the key with z1 and z2 swapped, its alpha rows.  For a unit a1, x1
     and x2 are None: alpha = 1 then solves the alpha row with x1 and x2
-    resolved, so every w1 joins every (z1, z2, gamma).
+    resolved, so every w1 joins every (z1, z2, gamma).  Both plans of
+    one exp_max come from one table of solved rows (_exponent_plans).
+    """
+    return _exponent_plans(exp_max)[unit_a1]
+
+
+@functools.cache
+def _exponent_plans(exp_max: int) -> tuple[tuple, tuple]:
+    """_exponent_plan(exp_max, False) and _exponent_plan(exp_max, True).
+
+    The table of solved rows, by (z1, z2, gamma), is built once for both
+    and dropped once they are built.
     """
     exps = range(1, exp_max + 1)
     rows: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
@@ -682,15 +710,20 @@ def _exponent_plan(
         if not why:
             rows.setdefault((z1, z2, gamma), []).append((p1, p2, w))
 
-    lefts: dict[tuple[int, int | None, int], set[tuple[int, int]]] = {}
-    rights: set[tuple[int | None, int, int]] = set()
-    for (z1, z2, gamma), betas in rows.items():
-        alphas = [(None, None, w1) for w1 in exps] if unit_a1 else rows.get((z2, z1, gamma), ())
-        for x2, x1, w1 in alphas:
-            for y1, y2, w2 in betas:
-                lefts.setdefault((w1, x1, y1), set()).add((z1, z2))
-                rights.add((x2, w2, y2))
-    return tuple((key, tuple(sorted(lefts[key]))) for key in sorted(lefts)), tuple(sorted(rights))
+    plans = []
+    for unit_a1 in (False, True):
+        lefts: dict[tuple[int, int | None, int], set[tuple[int, int]]] = {}
+        rights: set[tuple[int | None, int, int]] = set()
+        for (z1, z2, gamma), betas in rows.items():
+            alphas = ([(None, None, w1) for w1 in exps] if unit_a1
+                      else rows.get((z2, z1, gamma), ()))
+            for x2, x1, w1 in alphas:
+                for y1, y2, w2 in betas:
+                    lefts.setdefault((w1, x1, y1), set()).add((z1, z2))
+                    rights.add((x2, w2, y2))
+        plans.append((tuple((key, tuple(sorted(lefts[key]))) for key in sorted(lefts)),
+                      tuple(sorted(rights))))
+    return plans[0], plans[1]
 
 
 @functools.cache

@@ -30,6 +30,7 @@ from exptriple.arith import (
     two_adic_profile,
     valuation,
 )
+from exptriple.errors import InputDataError
 
 
 def oracle_factorize(n: int) -> list[tuple[int, int]]:
@@ -120,12 +121,32 @@ class TestFactorize:
         # composite handed to it may be a perfect power
         real = arith_module._brent_rho
 
-        def checked(m, rng):
+        def checked(m, rng, budget):
             assert perfect_powers(m, m.bit_length()) == [], m
-            return real(m, rng)
+            return real(m, rng, budget)
 
         monkeypatch.setattr(arith_module, "_brent_rho", checked)
         assert factorize(n).factors == factors
+
+    def test_a_36_bit_least_prime_splits_within_the_rho_budget(self):
+        p, q = 2**36 - 5, 2**61 - 1
+        assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+    def test_two_large_primes_exhaust_the_rho_budget(self):
+        # rho needs about 2^30 steps to split off p = 2^61 - 1
+        n = (2**61 - 1) * (2**64 - 59)
+        with pytest.raises(InputDataError, match=f"^cannot factor {n}: 2097152 steps"):
+            factorize(n)
+
+    @pytest.mark.parametrize("n, named", [
+        (10_007 * 10_009, "100160063"),
+        (10_007 * 10_009 * (2**1279 - 1), "a 1306-bit integer"),
+    ])
+    def test_an_exhausted_budget_names_the_number(self, monkeypatch, n, named):
+        monkeypatch.setattr(arith_module, "_RHO_STEPS", 8)
+        with pytest.raises(InputDataError) as caught:
+            factorize(n)
+        assert str(caught.value).startswith(f"cannot factor {named}: 8 steps of Brent's rho")
 
     @given(st.integers(min_value=1, max_value=10**12))
     @settings(max_examples=200)

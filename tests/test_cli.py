@@ -85,6 +85,16 @@ class TestEnumerate:
         assert lines[0].endswith(": 1")
         assert lines[1] == f"  {a} + {b} = {c}    [types {p}:O]"
 
+    def test_two_large_primes_in_every_base_exit_two(self):
+        # gcd(a, b, c) = pq is beyond Brent's rho budget, which stops it
+        p, q = 2**61 - 1, 2**64 - 59
+        argv = [sys.executable, "-m", "exptriple.cli", "enumerate",
+                str(2 * p * q), str(3 * p * q), str(5 * p * q)]
+        done = subprocess.run(argv, env=subprocess_env(), capture_output=True,
+                              text=True, timeout=10)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith(f"error: cannot factor {p * q}: ")
+
     def test_json_lines(self, capsys):
         code, out, _ = run(capsys, "enumerate", "3", "5", "2",
                            "--max-bits", "64", "--format", "json-lines")
@@ -222,6 +232,16 @@ class TestFamilyGen:
         # the family power of such d and k is no integer, or zero
         code, out, err = run(capsys, "family", "gen", *params)
         assert (code, out, err) == (2, "", f"rejected: {violation}\n")
+
+    @pytest.mark.parametrize(("params", "violation"), [
+        (("IV", "g=5", "d=3", "k=3", "i=1", "j=1", "u=1"), "k must be even and positive"),
+        (("III", "g=7", "d=1", "k=1", "j=1", "u=1"), "k must exceed 1"),
+    ])
+    def test_broken_range_without_w_is_named_instead_of_w(self, capsys, params, violation):
+        # no w fits these family powers either, but the range is what is broken
+        expected = (2, "", f"rejected: {violation}\n")
+        assert run(capsys, "family", "gen", *params) == expected
+        assert run(capsys, "family", "gen", *params, "w=1") == expected
 
     def test_wrong_parameter_names_are_usage(self, capsys):
         code, _, err = run(capsys, "family", "gen", "III", "g=7", "q=1")

@@ -747,6 +747,20 @@ class TestRunPipeline:
         assert outcome.stats["shapes_53"] + outcome.stats["shapes_54"] == 6306
         assert built == {"a": 302, "b": 302}
 
+    def test_power_representations_run_once_per_value(self, monkeypatch):
+        records = generate_equations(1000, 10**6)
+        calls = Counter()
+        represent = search_module.power_representations
+
+        def counting(n):
+            calls[n] += 1
+            return represent(n)
+
+        monkeypatch.setattr(search_module, "power_representations", counting)
+        run_pipeline(records)
+        # both passes and every record share one table of 215 values
+        assert (len(calls), calls.total()) == (215, 215)
+
     def test_order_and_duplicates_do_not_change_the_outcome(self):
         records = generate_equations(1000, 10**6)
         want = run_pipeline(records)
@@ -1293,6 +1307,20 @@ class TestExponentPlan:
         assert sum(len({z1 for z1, _ in zs}) for _, zs in lefts) == 527
         assert sum(any(z1 == 1 for z1, _ in zs) for _, zs in lefts) == 99
         assert sum(len(zs) for _, zs in lefts) == 1396
+
+    def test_both_plans_solve_each_row_once(self, monkeypatch):
+        want = _exponent_plan(4, False), _exponent_plan(4, True)
+        solve_row = search_module._solve_row
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return solve_row(*args)
+
+        monkeypatch.setattr(search_module, "_solve_row", counting)
+        search_module._exponent_plans.cache_clear()
+        assert (_exponent_plan(4, False), _exponent_plan(4, True)) == want
+        assert len(calls) == len(set(calls)) == 4**5
 
     @pytest.mark.parametrize("exp_max", [1, 2, 3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("unit_a1", [False, True])
