@@ -223,16 +223,28 @@ def as_power_of(base: int, n: int) -> int | None:
 
 
 def introot(n: int, k: int) -> int:
-    """Floor of the k-th root of n, exact integer Newton iteration."""
+    """Floor of the k-th root of n, exact.
+
+    Up to 100 bits a float seed is corrected by exact powering, a step or
+    two at most; larger n take integer Newton iteration from above.
+    """
     if n < 0 or k < 1:
         raise ValueError("introot requires n >= 0 and k >= 1")
     if k == 1 or n < 2:
         return n
     if k == 2:
         return math.isqrt(n)
-    if n.bit_length() <= k:
+    bits = n.bit_length()
+    if bits <= k:
         return 1
-    x = 1 << -(-n.bit_length() // k)
+    if bits <= 100:
+        r = int(n ** (1.0 / k))
+        while r**k > n:
+            r -= 1
+        while (r + 1) ** k <= n:
+            r += 1
+        return r
+    x = 1 << -(-bits // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -250,29 +262,27 @@ def residue_table(p: int, m: int) -> bytes:
 
 # Residue sieves in front of root extraction (after the GMP manual's
 # perfect-square test): a p-th power must be a p-th power residue modulo
-# every listed m; larger primes go straight to the root.  The later
-# moduli matter for the search's sums g^w * a1^x + b1^y, whose residues
-# modulo 64, 63 or 121 follow the parts: on the catalogue box, fifth-power
-# root extractions in one cell fell from about 5,000 with 121 alone to 54.
+# every listed m; larger primes go straight to the root.  The later moduli
+# matter for the search's sums g^w * a1^x + b1^y, whose residues modulo
+# 64, 63 or 121 follow the parts: on the catalogue box, fifth-power root
+# extractions in one cell fell from about 5,000 with 121 alone to 54.  With
+# these chains, and the sums g^w * a1^x + b1 rooted by interval instead
+# (search._search_unit), the box makes 479 perfect_powers calls at exp_max
+# 6 and 853 at exp_max 7; 293 and 599 of them find no root.
 POWER_SIEVES: dict[int, tuple[tuple[int, bytes], ...]] = {
     p: tuple((m, residue_table(p, m)) for m in moduli)
-    for p, moduli in ((2, (64, 63, 65, 11)), (3, (63, 91, 37)), (5, (121, 31, 41, 61)))
+    for p, moduli in (
+        (2, (64, 63, 65, 11, 17, 19, 23)),
+        (3, (63, 91, 37, 19, 31, 43)),
+        (5, (121, 31, 41, 61, 71, 101)),
+        (7, (49, 29, 43, 71, 127)),
+    )
 }
 
 
 def _prime_root(n: int, p: int) -> int | None:
     """The integer r with r**p == n for a prime p, or None."""
-    if p == 2:
-        r = math.isqrt(n)
-    elif n.bit_length() > 100:
-        r = introot(n, p)
-    else:
-        # float seed, then exact correction by at most a step or two
-        r = max(1, int(round(n ** (1.0 / p))))
-        while r > 1 and r**p > n:
-            r -= 1
-        while (r + 1) ** p <= n:
-            r += 1
+    r = introot(n, p)
     return r if r**p == n else None
 
 

@@ -35,6 +35,7 @@ from .families import (
     Classification,
     NineTuple,
     _family_power,
+    _require_keys,
     classify_nine,
     gen_family,
     make_nine_tuple,
@@ -268,7 +269,9 @@ def cmd_family_gen(args: argparse.Namespace) -> int:
     if tag not in FAMILY_TAGS:
         raise UsageError(f"unknown family tag {args.tag!r}; choose from {', '.join(FAMILY_TAGS)}")
     params = _parse_family_params(args.params)
-    if tag in ("III", "IV") and "w" not in params and {"g", "d", "k"} <= set(params):
+    if tag in ("III", "IV") and "w" not in params:
+        # the names come first, so that a wrong one is reported as typed
+        _require_keys(tag, params, optional=frozenset({"w"}))
         params["w"] = _derive_w(tag, params)
     nine = gen_family(tag, params)
     witness_params = {k: params[k] for k in sorted(params)}

@@ -115,11 +115,17 @@ class FamilyWitness(NamedTuple):
     matching: tuple[int, int]
 
 
-def _require_keys(tag: str, params: dict[str, int]) -> None:
+def _require_keys(
+    tag: str, params: dict[str, int], optional: frozenset[str] = frozenset()
+) -> None:
+    """Raise UsageError naming the typed keys unless params has the tag's keys.
+
+    A key in optional may be left out.
+    """
     want = set(_PARAM_KEYS[tag])
     got = set(params)
     extra = got - want - ({"h", "v"} if tag == "IV" else set())
-    if extra or not want <= got:
+    if extra or not want - optional <= got:
         raise UsageError(
             f"family {tag} takes parameters {sorted(want)}, got {sorted(got)}"
         )

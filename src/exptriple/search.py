@@ -302,11 +302,13 @@ def _identity_args(
     record: EquationRecord,
     reps: Callable[[int], list[tuple[int, int]]],
     splits: Callable[[Factored], list[tuple[int, int, int]]],
+    mirrored: bool = True,
 ) -> Iterator[tuple[str, int, int, int, int | None, int, int, int, int]]:
     """The Identity(...) argument tuple of every identity of one record, unvalidated.
 
     reps is power_representations and splits _carrier_splits, or a cache
-    of either.
+    of either.  Each carrier "a" tuple is followed by its mirror, the
+    carrier "b" tuple with a1 and b1 swapped, unless mirrored is False.
     """
     a_reps, b_reps, c_reps = reps(record.A), reps(record.B), reps(record.C)
     for term, fac, other_reps in ((record.A, record.fa, b_reps), (record.B, record.fb, a_reps)):
@@ -315,7 +317,8 @@ def _identity_args(
                 for pb, pe in other_reps:
                     for cb, ce in c_reps:
                         yield ("a", g, w, mb, None if mb == 1 else me, pb, pe, cb, ce)
-                        yield ("b", g, w, pb, None if pb == 1 else pe, mb, me, cb, ce)
+                        if mirrored:
+                            yield ("b", g, w, pb, None if pb == 1 else pe, mb, me, cb, ce)
 
 
 def decompose(record: EquationRecord) -> list[Identity]:
@@ -577,9 +580,10 @@ def run_pipeline(
     two solutions of one triple may come from different input equations.
 
     Pairing is key-first, in two passes over the records.  The first
-    counts every identity (shapes_53, shapes_54) and collects the key set
-    of carrier "a"; the carrier "b" keys are the same keys with a1 and b1
-    swapped.  Only a key that both carriers share can pair, so the second
+    walks the carrier "a" identities alone, counts them (shapes_53, and
+    shapes_54 for their carrier "b" mirrors) and collects their key set;
+    the carrier "b" keys are the same keys with a1 and b1 swapped.  Only
+    a key that both carriers share can pair, so the second
     pass keeps the identities of the shared keys alone, as argument
     tuples, and Identity objects are built and validated only for the
     keys that are paired.  Both passes share one table of each value's
@@ -605,14 +609,15 @@ def run_pipeline(
     reps, splits = functools.cache(power_representations), functools.cache(_carrier_splits)
     # each carrier "b" identity comes with a carrier "a" one whose a1 and b1
     # are swapped, so the carrier "b" keys are the carrier "a" keys mirrored
+    # and the two carriers count alike
     left_keys: set[tuple[int, int, int, int]] = set()
+    shapes = 0
     for record in ordered:
-        for carrier, g, _, a1, _, b1, _, c1, _ in _identity_args(record, reps, splits):
-            if carrier == "a":
-                left_keys.add((g, a1, b1, c1))
-                stats["shapes_53"] += 1
-            else:
-                stats["shapes_54"] += 1
+        for _, g, _, a1, _, b1, _, c1, _ in _identity_args(record, reps, splits, mirrored=False):
+            left_keys.add((g, a1, b1, c1))
+            shapes += 1
+    if shapes:
+        stats["shapes_53"] = stats["shapes_54"] = shapes
     buckets: dict[tuple[int, int, int, int], tuple[list[tuple], list[tuple]]] = {
         key: ([], []) for key in left_keys if (key[0], key[2], key[1], key[3]) in left_keys
     }
@@ -659,14 +664,18 @@ def run_pipeline(
 # ---------------------------------------------------------------------------
 
 
-# Inline residue sieve in front of perfect_powers, with all eleven tables
-# of arith.POWER_SIEVES picked by modulus: a square is a square residue
-# modulo 64, 63, 65 and 11, a cube a cubic residue modulo 63, 91 and 37,
-# and a fifth power a fifth-power residue modulo 121, 31, 41 and 61.
-(_SQ64, _SQ63, _SQ65, _SQ11), (_CU63, _CU91, _CU37), (_FI121, _FI31, _FI41, _FI61) = (
-    tuple(dict(POWER_SIEVES[p])[m] for m in moduli)
-    for p, moduli in ((2, (64, 63, 65, 11)), (3, (63, 91, 37)), (5, (121, 31, 41, 61)))
-)
+# Inline residue sieves in front of perfect_powers: every table of
+# arith.POWER_SIEVES, named by its power and modulus.  A square is a
+# square residue modulo 64, 63, 65, 11, 17, 19 and 23, a cube a cubic
+# residue modulo 63, 91, 37, 19, 31 and 43, a fifth power a fifth-power
+# residue modulo 121, 31, 41, 61, 71 and 101, and a seventh power a
+# seventh-power residue modulo 49, 29, 43, 71 and 127.
+(
+    (_SQ64, _SQ63, _SQ65, _SQ11, _SQ17, _SQ19, _SQ23),
+    (_CU63, _CU91, _CU37, _CU19, _CU31, _CU43),
+    (_FI121, _FI31, _FI41, _FI61, _FI71, _FI101),
+    (_SE49, _SE29, _SE43, _SE71, _SE127),
+) = (tuple(table for _, table in POWER_SIEVES[p]) for p in (2, 3, 5, 7))
 
 
 def _exponent_plan(
@@ -727,37 +736,73 @@ def _exponent_plans(exp_max: int) -> tuple[tuple, tuple]:
 
 
 @functools.cache
-def _cell_patterns(
-    exp_max: int, unit_a1: bool,
-) -> tuple[tuple[tuple, ...], tuple[tuple[int, int, frozenset], ...], tuple[int | None, ...]]:
+def _cell_patterns(exp_max: int, unit_a1: bool) -> tuple[
+    tuple[tuple, ...],
+    tuple[tuple[int, int | None, tuple[tuple[int, tuple[int, ...]], ...]], ...],
+    tuple[tuple[int, int, frozenset], ...],
+    tuple[int | None, ...],
+    tuple[int, int],
+]:
     """The exponent patterns that a cell forms, and what each left one needs.
 
-    Returns the carrier "a" patterns of _exponent_plan as (y1, w1, x1,
-    the ascending z2 values for z1 = 1, those values by z1, the largest
-    z1, whether a square, a cube, a fifth root or a root that no inline
-    sieve covers is wanted), its carrier "b" patterns grouped by (w2, y2)
-    as (y2, w2, the set of their x2), and the x2 of those groups in
-    ascending order.  At exp_max 6 the 155 carrier "b" patterns of a1 > 1
-    fall into 36 groups over 6 values of x2.  x is None for a unit a1.
-    _search_unit retires a carrier "a" pattern once b1 outgrows it.
+    Returns five parts:
+
+    * every carrier "a" pattern of _exponent_plan as (y1, w1, x1, the
+      ascending z2 values for z1 = 1, the z2 values by z1 > 1 that the
+      sieve path roots, the largest such z1, whether a square, a cube, a
+      fifth, a seventh root or a root that no inline sieve covers is
+      wanted).  A pattern with y1 = 1 keeps only its z1 = 1 walk here:
+      its sieve part is empty and all five flags are False;
+    * the y1 = 1 patterns that admit some z1 > 1, as (w1, x1, ((z1, the
+      ascending z2 values), ...)), whose roots the cell finds by interval;
+    * the carrier "b" patterns grouped by (w2, y2) as (y2, w2, the set of
+      their x2), and the x2 of those groups in ascending order;
+    * the largest y2 and the largest w2 of those groups, whose product
+      g^w2 * b1^y2 bounds every product of the cell's b1.
+
+    At exp_max 6 the 155 carrier "b" patterns of a1 > 1 fall into 36
+    groups over 6 values of x2, and (6, 6) is itself a group.  x is None
+    for a unit a1.  _search_unit retires a carrier "a" pattern once b1
+    outgrows it.
     """
     left_plan, right_plan = _exponent_plan(exp_max, unit_a1)
-    lefts = []
+    lefts, units = [], []
     for (w1, x1, y1), zs in left_plan:
-        walks = {z1: [z2 for z, z2 in zs if z == z1] for z1, _ in zs}
+        walks = {z1: tuple(z2 for z, z2 in zs if z == z1) for z1, _ in zs}
+        self_walk = walks.pop(1, ())
+        if y1 == 1:
+            if walks:
+                units.append((w1, x1, tuple(sorted(walks.items()))))
+            walks = {}
         # a z-th power is a p-th power for the least prime p of z
-        least = {next(p for p in range(2, z + 1) if z % p == 0) for z in walks if z > 1}
-        lefts.append((y1, w1, x1, walks.get(1, ()), walks, max(walks),
-                      2 in least, 3 in least, 5 in least, max(least, default=0) >= 7))
+        least = {next(p for p in range(2, z + 1) if z % p == 0) for z in walks}
+        lefts.append((y1, w1, x1, self_walk, walks, max(walks, default=0),
+                      2 in least, 3 in least, 5 in least, 7 in least,
+                      max(least, default=0) >= 11))
     groups: dict[tuple[int, int], set[int | None]] = {}
     for x2, w2, y2 in right_plan:
         groups.setdefault((y2, w2), set()).add(x2)
     x2s = {x2 for x2, _, _ in right_plan}
     return (
         tuple(lefts),
+        tuple(units),
         tuple((y2, w2, frozenset(groups[y2, w2])) for y2, w2 in sorted(groups)),
         tuple(sorted(x2s)),
+        (max((y2 for y2, _ in groups), default=0), max((w2 for _, w2 in groups), default=0)),
     )
+
+
+def _powers_between(lo: int, hi: int, z: int) -> list[tuple[int, int]]:
+    """Every (c, c^z) with lo <= c^z <= hi, c descending, for lo >= 2.
+
+    One floor root of hi, then steps down while the power stays in range.
+    """
+    found = []
+    c = introot(hi, z)
+    while (power := c**z) >= lo:
+        found.append((c, power))
+        c -= 1
+    return found
 
 
 def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ...]]:
@@ -765,10 +810,9 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
 
     The cell is streamed one b1 at a time, and only that b1's data is
     held.  Each carrier "a" sum g^w1 * a1^x1 + b1^y1 is taken as c1^z1,
-    itself with z1 = 1 and each root that perfect_powers finds, and each
-    power c1^z2 up to a bound on the carrier "b" sums is matched against
-    them.  Every identity pair that meets this way is solved and
-    verified.
+    itself with z1 = 1 and each of its roots, and each power c1^z2 up to
+    a bound on the carrier "b" sums is matched against them.  Every
+    identity pair that meets this way is solved and verified.
 
     The carrier "b" sums R = a1^x2 + g^w2 * b1^y2 are never formed.  Each
     planned one has w2, y2 >= 1, so R = a1^x2 (mod g * b1), and since
@@ -776,18 +820,29 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
     unit b1 forms only y2 = 1).  So c1^z2 is a planned sum exactly when
     c1^z2 mod g * b1 is the residue of some a1^x2 and c1^z2 - a1^x2 is a
     product g^w2 * b1^y2 whose (w2, y2) group holds that x2.  Per b1 the
-    cell keeps the residues of the a1^x2 and the products of the groups;
-    the largest product plus the largest a1^x2 bounds every carrier "b"
-    sum and ends the walk over z2.
+    cell keeps the residues of the a1^x2, and builds the table of the
+    groups' products only when a power first passes the residue test.
+    g^w2 * b1^y2 with the largest w2 and y2 of the groups, plus the
+    largest a1^x2, bounds every carrier "b" sum and ends the walk over z2.
 
     Only the exponent patterns of _exponent_plan are formed, for every
     a1 and every exp_max.  A carrier "a" sum is taken as c1^z1 only for
-    the z1 its pattern admits, c1^z2 is matched only for the z2 that go
-    with that z1, and only the inline sieves that those z1 need run in
-    front of perfect_powers.  The sieves stop at fifth powers, so a
-    pattern that admits a z1 whose least prime is 7 or more hands every
-    sum to perfect_powers.  The patterns left out are exactly those that
-    pair_and_solve would reject.
+    the z1 its pattern admits, and c1^z2 is matched only for the z2 that
+    go with that z1.  The roots come two ways:
+
+    * A pattern with y1 = 1 sums A + b1, A = g^w1 * a1^x1, over an
+      interval of b1, so before the first b1 the cell lists, for each of
+      its z1 > 1, the z1-th powers in A + [first b1, last live b1] with
+      one floor root (_powers_between) and files each under its b1.
+    * The sum of any other pattern goes to perfect_powers, behind the
+      inline sieves of the primes p that its z1 need (a z1-th power is a
+      p-th power for the least prime p of z1), for p = 2, 3, 5 and 7; a
+      pattern that admits a z1 whose least prime is 11 or more hands
+      every sum to perfect_powers.
+
+    On the catalogue box (g <= 10, a1 <= 5, b1 <= 500) this makes 479
+    perfect_powers calls at exp_max 6 and 853 at exp_max 7.  The
+    patterns left out are exactly those that pair_and_solve would reject.
 
     A carrier "a" pattern retires for the rest of the cell once b1 >=
     max(2, 2^(exp_max - 2)) and b1^y1 >= A = g^w1 * a1^x1, both of which
@@ -802,23 +857,47 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
     g_pows = [g**w for w in range(exp_max + 1)]
     a_pows = {None: 1} if a1 == 1 else {x: a1**x for x in range(1, exp_max + 1)}
     floor = max(2, 2**exp_max // 4)
+    first = 1 if a1 > 1 else 2
 
-    left_patterns, right_groups, x2s = _cell_patterns(exp_max, a1 == 1)
+    left_patterns, units, right_groups, x2s, (y_top, w_top) = _cell_patterns(exp_max, a1 == 1)
     lefts = [(y1, w1, x1, g_pows[w1] * a_pows[x1], *needs)
              for y1, w1, x1, *needs in left_patterns]
     a_top = max((a_pows[x2] for x2 in x2s), default=0)
+
+    # the roots of the y1 = 1 sums, by b1; a pattern is live while b1 <
+    # max(floor, A), since b1^y1 = b1
+    unit_roots: dict[int, list[tuple[int, int | None, int, int, tuple[int, ...]]]] = {}
+    for w1, x1, walks in units:
+        carried = g_pows[w1] * a_pows[x1]
+        last = min(bounds.b1_max, max(floor, carried) - 1)
+        for z1, z2s in walks:
+            for c1, power in _powers_between(carried + first, carried + last, z1):
+                unit_roots.setdefault(power - carried, []).append((w1, x1, c1, z1, z2s))
 
     rows: set[tuple[int, ...]] = set()
 
     def match(power: int, xs: list[int | None]) -> list[tuple[int | None, int, int]]:
         # the right patterns of the current b1 whose sum is power, given the
         # x2 whose a1^x2 has the residue of power modulo g * b1
+        nonlocal products
+        if products is None:
+            products = {g_pows[w2] * b_pows[y2]: (w2, y2, planned)
+                        for y2, w2, planned in right_groups if y2 <= y_max}
         hits = []
         for x2 in xs:
             w2, y2, planned = products.get(power - a_pows[x2], (0, 0, ()))
             if x2 in planned:
                 hits.append((x2, w2, y2))
         return hits
+
+    def walk(w1: int, x1: int | None, y1: int, c1: int, z1: int, z2s: Iterable[int]) -> None:
+        # match c1^z2 for each z2 of one root c1^z1 of a carrier "a" sum
+        for z2 in z2s:
+            power = c1**z2
+            if power > top:
+                break
+            if (xs := residues.get(power % modulus)) and (hits := match(power, xs)):
+                meet(Identity("a", g, w1, a1, x1, b1, y1, c1, z1), z2, hits)
 
     def meet(left: Identity, z2: int, hits: list[tuple[int | None, int, int]]) -> None:
         # left is c1^z1, and hits are the right patterns whose sum is c1^z2
@@ -831,27 +910,21 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
             if result.reason is None:
                 rows.add(result.nine.as_tuple())
 
-    for b1 in range(1 if a1 > 1 else 2, bounds.b1_max + 1):
+    for b1 in range(first, bounds.b1_max + 1):
         if math.gcd(b1, g) != 1 or math.gcd(b1, a1) != 1:
             continue
         # a unit b1 keeps the literal exponent 1
         y_max = 1 if b1 == 1 else exp_max
         b_pows = [b1**y for y in range(y_max + 1)]
-
-        products: dict[int, tuple[int, int, frozenset]] = {
-            g_pows[w2] * b_pows[y2]: (w2, y2, planned)
-            for y2, w2, planned in right_groups if y2 <= y_max
-        }
-        if not products:
-            continue
-        top = max(products) + a_top
+        products = None
+        top = g_pows[w_top] * b_pows[min(y_top, y_max)] + a_top
         modulus = g * b1
         residues: dict[int, list[int | None]] = {}
         for x2 in x2s:
             residues.setdefault(a_pows[x2] % modulus, []).append(x2)
 
         retired = False
-        for y1, w1, x1, carried, self_walk, walks, z_top, sq, cu, fi, bare in lefts:
+        for y1, w1, x1, carried, self_walk, walks, z_top, sq, cu, fi, se, bare in lefts:
             if y1 > y_max:
                 continue
             if b1 >= floor and b_pows[y1] >= carried:
@@ -865,17 +938,20 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
                 if (xs := residues.get(power % modulus)) and (hits := match(power, xs)):
                     meet(Identity("a", g, w1, a1, x1, b1, y1, t, 1), z2, hits)
             if bare or (
-                (sq and _SQ64[t & 63] and _SQ63[t % 63] and _SQ65[t % 65] and _SQ11[t % 11])
-                or (cu and _CU63[t % 63] and _CU91[t % 91] and _CU37[t % 37])
-                or (fi and _FI121[t % 121] and _FI31[t % 31] and _FI41[t % 41] and _FI61[t % 61])
+                (sq and _SQ64[t & 63] and _SQ63[t % 63] and _SQ65[t % 65] and _SQ11[t % 11]
+                 and _SQ17[t % 17] and _SQ19[t % 19] and _SQ23[t % 23])
+                or (cu and _CU63[t % 63] and _CU91[t % 91] and _CU37[t % 37]
+                    and _CU19[t % 19] and _CU31[t % 31] and _CU43[t % 43])
+                or (fi and _FI121[t % 121] and _FI31[t % 31] and _FI41[t % 41]
+                    and _FI61[t % 61] and _FI71[t % 71] and _FI101[t % 101])
+                or (se and _SE49[t % 49] and _SE29[t % 29] and _SE43[t % 43]
+                    and _SE71[t % 71] and _SE127[t % 127])
             ):
                 for c1, z1 in perfect_powers(t, z_top):
-                    for z2 in walks.get(z1, ()):
-                        power = c1**z2
-                        if power > top:
-                            break
-                        if (xs := residues.get(power % modulus)) and (hits := match(power, xs)):
-                            meet(Identity("a", g, w1, a1, x1, b1, y1, c1, z1), z2, hits)
+                    if z1 in walks:
+                        walk(w1, x1, y1, c1, z1, walks[z1])
+        for w1, x1, c1, z1, z2s in unit_roots.get(b1, ()):
+            walk(w1, x1, 1, c1, z1, z2s)
         if retired and not (lefts := [p for p in lefts if b_pows[p[0]] < p[3]]):
             break
     return sorted(rows)

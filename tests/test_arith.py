@@ -218,6 +218,15 @@ class TestPowers:
         assert introot(10**18, 2) == 10**9
         assert introot(2**300 - 1, 3) == 2**100 - 1
 
+    def test_introot_at_exact_powers(self):
+        # the float seed below 100 bits may land a step off either way
+        for k in range(3, 9):
+            top = introot(2**100, k)
+            for r in (2, 3, 1000, top - 1, top, top + 1):
+                assert introot(r**k, k) == r
+                assert introot(r**k - 1, k) == r - 1
+                assert introot(r**k + 1, k) == r
+
     @given(st.integers(min_value=0, max_value=10**30), st.integers(min_value=1, max_value=40))
     @settings(max_examples=300)
     def test_introot_is_floor(self, n, k):

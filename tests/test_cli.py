@@ -248,6 +248,16 @@ class TestFamilyGen:
         assert code == 1
         assert "takes parameters" in err
 
+    # w is derivable at d = 1 and not at d = 2; either way the message
+    # lists only the names typed, without a w filled in for them
+    @pytest.mark.parametrize("d", ["d=1", "d=2"])
+    def test_wrong_parameter_name_without_w_lists_what_was_typed(self, capsys, d):
+        assert run(capsys, "family", "gen", "III", "g=7", "q=1", d, "k=3") == (
+            1, "",
+            "error: family III takes parameters ['d', 'g', 'j', 'k', 'u', 'w'], "
+            "got ['d', 'g', 'k', 'q']\n",
+        )
+
     def test_malformed_token_is_usage(self, capsys):
         code, _, err = run(capsys, "family", "gen", "III", "g7")
         assert code == 1

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from exptriple.acceptance import _box_rows, _grid_iii, _grid_iv, _row_fits_box
-from exptriple.arith import factorize, introot, is_prime, perfect_powers
+from exptriple.arith import POWER_SIEVES, factorize, introot, is_prime, perfect_powers
 from exptriple.catalog import KNOWN_ANOMALOUS_ROWS, is_known_anomalous
 from exptriple.config import SearchBounds
 from exptriple.errors import InternalInvariantError, UsageError
@@ -25,6 +25,7 @@ from exptriple.search import (
     SolvedSystem,
     _cell_patterns,
     _exponent_plan,
+    _powers_between,
     _search_unit,
     _solve_exponents,
     decompose,
@@ -1335,16 +1336,84 @@ class TestExponentPlan:
     @pytest.mark.parametrize("unit_a1", [False, True])
     def test_cell_groups_the_right_patterns_by_w2_and_y2(self, exp_max, unit_a1):
         _, rights = _exponent_plan(exp_max, unit_a1)
-        _, groups, x2s = _cell_patterns(exp_max, unit_a1)
+        _, _, groups, x2s, (y_top, w_top) = _cell_patterns(exp_max, unit_a1)
         assert len(groups) == len({(y2, w2) for y2, w2, _ in groups})
         assert {(x2, w2, y2) for y2, w2, planned in groups for x2 in planned} == set(rights)
         assert set(x2s) == {x2 for x2, _, _ in rights}
+        # the group of the largest product dominates every other group
+        assert all(y2 <= y_top and w2 <= w_top for y2, w2, _ in groups)
+        assert not groups or (y_top, w_top) in {(y2, w2) for y2, w2, _ in groups}
 
     def test_right_groups_at_exponent_six(self):
-        _, groups, x2s = _cell_patterns(6, False)
+        _, _, groups, x2s, top = _cell_patterns(6, False)
         assert sum(len(planned) for _, _, planned in groups) == 155
         assert len(groups) == 36
         assert x2s == (1, 2, 3, 4, 5, 6)
+        assert top == (6, 6)
+
+    @pytest.mark.parametrize("exp_max", [1, 2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("unit_a1", [False, True])
+    def test_cell_splits_the_left_patterns_by_y1(self, exp_max, unit_a1):
+        # a y1 = 1 pattern keeps its z1 = 1 walk and hands its other z1 to
+        # the interval route; every other pattern roots its z1 > 1 by sieve
+        left_plan, _ = _exponent_plan(exp_max, unit_a1)
+        lefts, units, _, _, _ = _cell_patterns(exp_max, unit_a1)
+        assert len(lefts) == len(left_plan)
+        walks_of = {}
+        for (w1, x1, y1), zs in left_plan:
+            walks_of[w1, x1, y1] = {z1: tuple(z2 for z, z2 in zs if z == z1) for z1, _ in zs}
+        for y1, w1, x1, self_walk, walks, z_top, sq, cu, fi, se, bare in lefts:
+            want = dict(walks_of[w1, x1, y1])
+            assert self_walk == want.pop(1, ())
+            if y1 == 1:
+                assert (walks, z_top, sq, cu, fi, se, bare) == ({}, 0, False, False, False,
+                                                                 False, False)
+                continue
+            assert walks == want
+            assert z_top == max(want, default=0)
+            least = {min(p for p in range(2, z1 + 1) if z1 % p == 0) for z1 in want}
+            assert (sq, cu, fi, se) == (2 in least, 3 in least, 5 in least, 7 in least)
+            assert bare == any(p >= 11 for p in least)
+        assert {(w1, x1): dict(walks) for w1, x1, walks in units} == {
+            (w1, x1): {z1: z2s for z1, z2s in walks.items() if z1 > 1}
+            for (w1, x1, y1), walks in walks_of.items()
+            if y1 == 1 and max(walks) > 1
+        }
+
+    def test_left_split_at_exponent_six(self):
+        lefts, units, _, _, _ = _cell_patterns(6, False)
+        assert sum(y1 == 1 for y1, *_ in lefts) == len(units) == 36
+        assert sum(len(walks) for _, _, walks in units) == 111
+        assert sum(len(walks) for _, _, _, _, walks, *_ in lefts) == 428 - 111
+
+
+@given(
+    root=st.integers(min_value=2, max_value=2000),
+    z=st.integers(min_value=2, max_value=8),
+    offset=st.integers(min_value=-300, max_value=300),
+    first=st.integers(min_value=1, max_value=2),
+    span=st.integers(min_value=0, max_value=400),
+)
+@settings(max_examples=100, deadline=None)
+def test_interval_roots_are_the_roots_of_each_sum(root, z, offset, first, span):
+    # the sums A + b1, b1 = first, ..., first + span, around root^z
+    A = max(2, root**z - offset)
+    got = sorted((power - A, c) for c, power in _powers_between(A + first, A + first + span, z))
+    want = [(b1, c) for b1 in range(first, first + span + 1)
+            for c, e in perfect_powers(A + b1, z) if e == z]
+    assert got == want
+
+
+def test_inline_sieves_are_the_power_sieves():
+    # each inline table of the cell is the arith.POWER_SIEVES table of its
+    # prime and modulus, and every table there is inlined
+    primes = {"_SQ": 2, "_CU": 3, "_FI": 5, "_SE": 7}
+    inline = {
+        (primes[name[:3]], int(name[3:])): table
+        for name, table in vars(search_module).items()
+        if name[:3] in primes and name[3:].isdigit()
+    }
+    assert inline == {(p, m): table for p, chain in POWER_SIEVES.items() for m, table in chain}
 
 
 class TestRetirement:
@@ -1375,40 +1444,94 @@ class TestRetirement:
         self, monkeypatch, g, a1, b1_max, ends_at
     ):
         # with inline sieves that pass every residue, the cell hands each
-        # carrier "a" sum of a pattern admitting some z1 > 1 to perfect_powers,
-        # so the calls show which planned patterns it kept per b1
+        # carrier "a" sum with y1 > 1 of a pattern admitting some z1 > 1 to
+        # perfect_powers, and lists the roots of such a pattern's y1 = 1 sums
+        # by one interval per z1, so the calls show which planned patterns
+        # it kept per b1
         exp_max = 7
-        formed = []
+        formed, intervals = [], []
 
         def recording(n, max_exp):
             formed.append(n)
             return perfect_powers(n, max_exp)
 
+        def recording_interval(lo, hi, z):
+            intervals.append((lo, hi, z))
+            return _powers_between(lo, hi, z)
+
         monkeypatch.setattr(search_module, "perfect_powers", recording)
-        sieves = [name for name in vars(search_module) if name[:3] in ("_SQ", "_CU", "_FI")]
-        assert len(sieves) == 11
+        monkeypatch.setattr(search_module, "_powers_between", recording_interval)
+        sieves = [name for name in vars(search_module) if name[:3] in ("_SQ", "_CU", "_FI", "_SE")]
+        assert len(sieves) == sum(len(chain) for chain in POWER_SIEVES.values()) == 24
+        longest = max(m for chain in POWER_SIEVES.values() for m, _ in chain)
         for name in sieves:
-            monkeypatch.setattr(search_module, name, (True,) * 121)
+            monkeypatch.setattr(search_module, name, (True,) * longest)
         bounds = SearchBounds(a1_max=a1, g_max=g, b1_max=b1_max, exp_max=exp_max)
         _search_unit((g, a1, bounds, 128))
 
         lefts, _ = _exponent_plan(exp_max, a1 == 1)
         carried = [
-            (g**w1 * (1 if x1 is None else a1**x1), y1, any(z1 > 1 for z1, _ in zs))
+            (g**w1 * (1 if x1 is None else a1**x1), y1, {z1 for z1, _ in zs} - {1})
             for (w1, x1, y1), zs in lefts
         ]
-        want, ended = [], None
-        for b1 in range(1 if a1 > 1 else 2, b1_max + 1):
+        first = 1 if a1 > 1 else 2
+        want, want_units, ended = [], [], None
+        for b1 in range(first, b1_max + 1):
             if math.gcd(b1, g * a1) != 1:
                 continue
-            live = [(A, y1, rooted) for A, y1, rooted in carried
+            live = [(A, y1, roots) for A, y1, roots in carried
                     if b1 < 2**exp_max // 4 or b1**y1 < A]
             if not live:
                 ended = b1
                 break
-            want += [A + b1**y1 for A, y1, rooted in live if rooted and (b1 > 1 or y1 == 1)]
+            want += [A + b1**y1 for A, y1, roots in live if roots and y1 > 1 and b1 > 1]
+            want_units += [A + b1 for A, y1, roots in live if roots and y1 == 1]
         assert ended == ends_at
         assert sorted(formed) == sorted(want)
+
+        # one interval per planned z1 > 1 of each y1 = 1 pattern, from the
+        # first b1 on; the sums of its coprime b1 are the live ones
+        assert sorted((lo, z) for lo, _, z in intervals) == sorted(
+            (A + first, z1) for A, y1, roots in carried if y1 == 1 for z1 in roots
+        )
+        spans = {(lo - first, hi) for lo, hi, _ in intervals}
+        assert len(spans) == len({lo for lo, _, _ in intervals})
+        got_units = [n for A, hi in spans for n in range(A + first, hi + 1)
+                     if math.gcd(n - A, g * a1) == 1]
+        assert sorted(got_units) == sorted(want_units)
+
+
+class TestRootTestCount:
+    """The perfect_powers calls of one catalogue cell and of the catalogue
+    box, and how many find a root.  Rooting the y1 = 1 sums behind the same
+    sieves instead makes 56 and 90 calls in the cell at exp_max 6 and 7,
+    and 1,415 and 2,007 in the box."""
+
+    @pytest.mark.parametrize(("exp_max", "calls", "found"), [(6, 34, 6), (7, 65, 10)])
+    def test_catalogue_cell(self, monkeypatch, exp_max, calls, found):
+        made = []
+
+        def recording(n, max_exp):
+            made.append(perfect_powers(n, max_exp))
+            return made[-1]
+
+        monkeypatch.setattr(search_module, "perfect_powers", recording)
+        bounds = SearchBounds(a1_max=3, g_max=10, b1_max=500, exp_max=exp_max)
+        assert len(_search_unit((10, 3, bounds, 128))) == 3
+        assert (len(made), sum(map(bool, made))) == (calls, found)
+
+    @pytest.mark.parametrize(("exp_max", "calls", "found"), [(6, 479, 186), (7, 853, 254)])
+    def test_catalogue_box(self, monkeypatch, exp_max, calls, found):
+        made = []
+
+        def recording(n, max_exp):
+            made.append(perfect_powers(n, max_exp))
+            return made[-1]
+
+        monkeypatch.setattr(search_module, "perfect_powers", recording)
+        bounds = SearchBounds(g_max=10, a1_max=5, b1_max=500, exp_max=exp_max)
+        assert len(direct_search(bounds=bounds)) == 10
+        assert (len(made), sum(map(bool, made))) == (calls, found)
 
 
 @pytest.mark.slow
