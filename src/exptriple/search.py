@@ -302,13 +302,12 @@ def _identity_args(
     record: EquationRecord,
     reps: Callable[[int], list[tuple[int, int]]],
     splits: Callable[[Factored], list[tuple[int, int, int]]],
-    mirrored: bool = True,
 ) -> Iterator[tuple[str, int, int, int, int | None, int, int, int, int]]:
-    """The Identity(...) argument tuple of every identity of one record, unvalidated.
+    """The Identity(...) argument tuple of each carrier "a" identity of a record, unvalidated.
 
     reps is power_representations and splits _carrier_splits, or a cache
-    of either.  Each carrier "a" tuple is followed by its mirror, the
-    carrier "b" tuple with a1 and b1 swapped, unless mirrored is False.
+    of either.  The record's carrier "b" identities are the _mirror of
+    these tuples, one each.
     """
     a_reps, b_reps, c_reps = reps(record.A), reps(record.B), reps(record.C)
     for term, fac, other_reps in ((record.A, record.fa, b_reps), (record.B, record.fb, a_reps)):
@@ -317,8 +316,17 @@ def _identity_args(
                 for pb, pe in other_reps:
                     for cb, ce in c_reps:
                         yield ("a", g, w, mb, None if mb == 1 else me, pb, pe, cb, ce)
-                        if mirrored:
-                            yield ("b", g, w, pb, None if pb == 1 else pe, mb, me, cb, ce)
+
+
+def _mirror(args: tuple) -> tuple[str, int, int, int, int | None, int, int, int, int]:
+    """The carrier "b" argument tuple with the terms of a carrier "a" one.
+
+    g^w * a1^x + b1^y = c1^z becomes b1^y + g^w * a1^x = c1^z: a1 and b1
+    swap places.  A unit a1 gets x = None, and a unit b1 keeps the
+    literal exponent 1, as in Identity.
+    """
+    _, g, w, a1, x, b1, y, c1, z = args
+    return ("b", g, w, b1, None if b1 == 1 else y, a1, 1 if x is None else x, c1, z)
 
 
 def decompose(record: EquationRecord) -> list[Identity]:
@@ -327,13 +335,13 @@ def decompose(record: EquationRecord) -> list[Identity]:
     Every nonempty subset of a carrying term's primes becomes one (g, w)
     split with g primitive and g^w the subset's full content.  The
     cofactor, the other term and C then range over all of their perfect
-    power representations, exponent 1 included, and each combination is
-    placed twice: with the carrier in the a-slot (carrier "a", the
-    cofactor as a1) and in the b-slot (carrier "b", the cofactor as b1).
-    A term equal to 1 carries nothing.
+    power representations, exponent 1 included.  Each combination gives a
+    carrier "a" identity, the carrier in the a-slot and the cofactor as
+    a1, followed by its mirror, the carrier in the b-slot and the cofactor
+    as b1.  A term equal to 1 carries nothing.
     """
     args = _identity_args(record, power_representations, _carrier_splits)
-    return [Identity(*a) for a in args]
+    return [Identity(*each) for left in args for each in (left, _mirror(left))]
 
 
 # ---------------------------------------------------------------------------
@@ -579,18 +587,19 @@ def run_pipeline(
     over their (g, a1, b1, c1) key, carrier "a" with carrier "b", so the
     two solutions of one triple may come from different input equations.
 
-    Pairing is key-first, in two passes over the records.  The first
-    walks the carrier "a" identities alone, counts them (shapes_53, and
-    shapes_54 for their carrier "b" mirrors) and collects their key set;
-    the carrier "b" keys are the same keys with a1 and b1 swapped.  Only
-    a key that both carriers share can pair, so the second
-    pass keeps the identities of the shared keys alone, as argument
-    tuples, and Identity objects are built and validated only for the
-    keys that are paired.  Both passes share one table of each value's
-    perfect power representations and one of each term's carrier splits,
-    local to the call: each is computed once per distinct value, for
-    A, B, C and every cofactor alike, and freed before the pairs are
-    solved.  Deferring validation loses no check:
+    Only carrier "a" identities are walked.  Every carrier "b" identity
+    is the _mirror of one of them, so the carrier "b" identities of a key
+    (g, a1, b1, c1) are the mirrors of the carrier "a" ones of its mirror
+    key (g, b1, a1, c1), in the same order, and the two carriers count
+    alike (shapes_53 and shapes_54).  Pairing is key-first, in two passes
+    over the records.  The first collects the carrier "a" keys; a key
+    pairs only when its mirror key is one too.  The second files the
+    argument tuples of those keys alone, and Identity objects are built
+    and validated only for the keys that are paired.  Both passes share
+    one table of each value's perfect power representations and one of
+    each term's carrier splits, local to the call: each is computed once
+    per distinct value, for A, B, C and every cofactor alike, and freed
+    before the pairs are solved.  Deferring validation loses no check:
     on a record from make_equation (A + B = C, gcd(A, B) = 1) decompose
     cannot yield an invalid identity.  g is the primitive root of a
     nonempty prime subset's content, so g >= 2 and w >= 1; g, the
@@ -607,39 +616,34 @@ def run_pipeline(
     ordered = [unique[key] for key in sorted(unique)]
 
     reps, splits = functools.cache(power_representations), functools.cache(_carrier_splits)
-    # each carrier "b" identity comes with a carrier "a" one whose a1 and b1
-    # are swapped, so the carrier "b" keys are the carrier "a" keys mirrored
-    # and the two carriers count alike
-    left_keys: set[tuple[int, int, int, int]] = set()
+    keys: set[tuple[int, int, int, int]] = set()
     shapes = 0
     for record in ordered:
-        for _, g, _, a1, _, b1, _, c1, _ in _identity_args(record, reps, splits, mirrored=False):
-            left_keys.add((g, a1, b1, c1))
+        for _, g, _, a1, _, b1, _, c1, _ in _identity_args(record, reps, splits):
+            keys.add((g, a1, b1, c1))
             shapes += 1
     if shapes:
         stats["shapes_53"] = stats["shapes_54"] = shapes
-    buckets: dict[tuple[int, int, int, int], tuple[list[tuple], list[tuple]]] = {
-        key: ([], []) for key in left_keys if (key[0], key[2], key[1], key[3]) in left_keys
+    filed: dict[tuple[int, int, int, int], list[tuple]] = {
+        key: [] for key in keys if (key[0], key[2], key[1], key[3]) in keys
     }
-    del left_keys
+    del keys
 
     for record in ordered:
         for args in _identity_args(record, reps, splits):
-            bucket = buckets.get((args[1], args[3], args[5], args[7]))
-            if bucket is not None:
-                bucket[args[0] == "b"].append(args)
+            if (filing := filed.get((args[1], args[3], args[5], args[7]))) is not None:
+                filing.append(args)
     del reps, splits
 
     verified: list[NineTuple] = []
-    for key in sorted(buckets):
-        left_args, right_args = buckets[key]
-        _, a1, b1, _ = key
+    for g, a1, b1, c1 in sorted(filed):
+        left_args, right_args = filed[g, a1, b1, c1], filed[g, b1, a1, c1]
         if a1 == 1 and b1 == 1:
             stats["pairs_skipped"] += len(left_args) * len(right_args)
             continue
         stats["pair_keys"] += 1
         lefts = [Identity(*args) for args in left_args]
-        rights = [Identity(*args) for args in right_args]
+        rights = [Identity(*_mirror(args)) for args in right_args]
         for left in lefts:
             for right in rights:
                 stats["pairs"] += 1
@@ -678,14 +682,14 @@ def run_pipeline(
 ) = (tuple(table for _, table in POWER_SIEVES[p]) for p in (2, 3, 5, 7))
 
 
-def _exponent_plan(
-    exp_max: int, unit_a1: bool,
-) -> tuple[tuple[tuple[tuple[int, int | None, int], tuple[tuple[int, int], ...]], ...],
-           tuple[tuple[int | None, int, int], ...]]:
+@functools.cache
+def _exponent_plans(exp_max: int) -> tuple[tuple, tuple]:
     """The exponent patterns of the pairs that pair_and_solve accepts.
 
-    Returns (((w1, x1, y1), (z1, z2) pairs), ...) and ((x2, w2, y2), ...),
-    all sorted: every carrier "a" pattern and carrier "b" pattern, with
+    Returns one plan for a1 > 1 and one for a unit a1, so that
+    _exponent_plans(exp_max)[unit_a1] is a1's plan.  A plan is
+    (((w1, x1, y1), (z1, z2) pairs), ...) and ((x2, w2, y2), ...), all
+    sorted: every carrier "a" pattern and carrier "b" pattern, with
     exponents up to exp_max, that is part of some pair with a positive
     integral solution (alpha, beta, gamma) of
 
@@ -699,18 +703,9 @@ def _exponent_plan(
     row, tabled by (z1, z2, gamma), give the beta rows of a key and, under
     the key with z1 and z2 swapped, its alpha rows.  For a unit a1, x1
     and x2 are None: alpha = 1 then solves the alpha row with x1 and x2
-    resolved, so every w1 joins every (z1, z2, gamma).  Both plans of
-    one exp_max come from one table of solved rows (_exponent_plans).
-    """
-    return _exponent_plans(exp_max)[unit_a1]
-
-
-@functools.cache
-def _exponent_plans(exp_max: int) -> tuple[tuple, tuple]:
-    """_exponent_plan(exp_max, False) and _exponent_plan(exp_max, True).
-
-    The table of solved rows, by (z1, z2, gamma), is built once for both
-    and dropped once they are built.
+    resolved, so every w1 joins every (z1, z2, gamma).  The table of
+    solved rows is built once for both plans and dropped once they are
+    built.
     """
     exps = range(1, exp_max + 1)
     rows: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
@@ -747,7 +742,7 @@ def _cell_patterns(exp_max: int, unit_a1: bool) -> tuple[
 
     Returns five parts:
 
-    * every carrier "a" pattern of _exponent_plan as (y1, w1, x1, the
+    * every carrier "a" pattern of _exponent_plans as (y1, w1, x1, the
       ascending z2 values for z1 = 1, the z2 values by z1 > 1 that the
       sieve path roots, the largest such z1, whether a square, a cube, a
       fifth, a seventh root or a root that no inline sieve covers is
@@ -765,7 +760,7 @@ def _cell_patterns(exp_max: int, unit_a1: bool) -> tuple[
     for a unit a1.  _search_unit retires a carrier "a" pattern once b1
     outgrows it.
     """
-    left_plan, right_plan = _exponent_plan(exp_max, unit_a1)
+    left_plan, right_plan = _exponent_plans(exp_max)[unit_a1]
     lefts, units = [], []
     for (w1, x1, y1), zs in left_plan:
         walks = {z1: tuple(z2 for z, z2 in zs if z == z1) for z1, _ in zs}
@@ -825,7 +820,7 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
     g^w2 * b1^y2 with the largest w2 and y2 of the groups, plus the
     largest a1^x2, bounds every carrier "b" sum and ends the walk over z2.
 
-    Only the exponent patterns of _exponent_plan are formed, for every
+    Only the exponent patterns of _exponent_plans are formed, for every
     a1 and every exp_max.  A carrier "a" sum is taken as c1^z1 only for
     the z1 its pattern admits, and c1^z2 is matched only for the z2 that
     go with that z1.  The roots come two ways:
@@ -846,7 +841,8 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
 
     A carrier "a" pattern retires for the rest of the cell once b1 >=
     max(2, 2^(exp_max - 2)) and b1^y1 >= A = g^w1 * a1^x1, both of which
-    stay true as b1 grows, and the cell ends when none is left.  A pair
+    stay true as b1 grows, and the cell ends when none is left; with no
+    pattern at all, as at exp_max 1, it ends before the first b1.  A pair
     that pair_and_solve accepts has den = y2 * z1 - z2 * y1 >= 1 and
     z2 - z1 <= exp_max - 2 (z1 = 1 forces z2 < y2), so 2^z2 <= g^(w2 * z1)
     * b1^den and (A + b1^y1)^z2 <= 2^z2 * b1^(y1 * z2) <= g^(w2 * z1) *
@@ -860,6 +856,8 @@ def _search_unit(task: tuple[int, int, SearchBounds, int]) -> list[tuple[int, ..
     first = 1 if a1 > 1 else 2
 
     left_patterns, units, right_groups, x2s, (y_top, w_top) = _cell_patterns(exp_max, a1 == 1)
+    if not left_patterns:
+        return []
     lefts = [(y1, w1, x1, g_pows[w1] * a_pows[x1], *needs)
              for y1, w1, x1, *needs in left_patterns]
     a_top = max((a_pows[x2] for x2 in x2s), default=0)

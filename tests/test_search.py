@@ -24,7 +24,7 @@ from exptriple.search import (
     Identity,
     SolvedSystem,
     _cell_patterns,
-    _exponent_plan,
+    _exponent_plans,
     _powers_between,
     _search_unit,
     _solve_exponents,
@@ -305,6 +305,13 @@ class TestDecompose:
                 assert {carried, other} == {rec.A, rec.B}
             # each combination comes in both slots
             assert Counter(identities) == Counter(map(_mirror, identities))
+
+    def test_each_carrier_a_identity_is_followed_by_its_mirror(self):
+        equations = [(16, 3, 19), (1, 18, 19), (1, 8, 9), (8, 1, 9)]
+        for rec in [make_equation(*abc) for abc in equations] + generate_equations(30, 500):
+            identities = decompose(rec)
+            assert {s.carrier for s in identities[0::2]} <= {"a"}
+            assert identities[1::2] == [_mirror(s) for s in identities[0::2]]
 
 
 class TestShapeValidation:
@@ -696,6 +703,12 @@ class TestFamilyVerdictRaises:
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def generated_outcome():
+    """run_pipeline on the 354 equations of generate_equations(1000, 10**6)."""
+    return run_pipeline(generate_equations(1000, 10**6))
+
+
 class TestRunPipeline:
     def test_recovers_known_cases_from_equations(self):
         report = ingest_equations(
@@ -762,17 +775,16 @@ class TestRunPipeline:
         # both passes and every record share one table of 215 values
         assert (len(calls), calls.total()) == (215, 215)
 
-    def test_order_and_duplicates_do_not_change_the_outcome(self):
+    def test_order_and_duplicates_do_not_change_the_outcome(self, generated_outcome):
         records = generate_equations(1000, 10**6)
-        want = run_pipeline(records)
         rng = random.Random(7)
         for _ in range(2):
             shuffled = records + rng.sample(records, 100)
             rng.shuffle(shuffled)
-            assert run_pipeline(shuffled) == want
+            assert run_pipeline(shuffled) == generated_outcome
 
-    def test_generated_bounds_recall_exactly_rows_one_to_six(self):
-        outcome = run_pipeline(generate_equations(1000, 10**6))
+    def test_generated_bounds_recall_exactly_rows_one_to_six(self, generated_outcome):
+        outcome = generated_outcome
         want = [
             canonical_nine(make_nine_tuple(*row)).as_tuple()
             for row in KNOWN_ANOMALOUS_ROWS[:6]
@@ -896,6 +908,19 @@ class TestDirectSearch:
         # carrier "b" pattern has y2 = 2, so a unit b1 has no carrier "b" sum
         bounds = SearchBounds(a1_max=6, g_max=6, b1_max=60, exp_max=exp_max)
         assert direct_search(bounds=bounds) == []
+
+    def test_a_cell_without_patterns_walks_no_b1(self, monkeypatch):
+        # exp_max 1 plans no pattern, so the cell ends before its first b1
+        bounds = SearchBounds(a1_max=3, g_max=10, b1_max=10**7, exp_max=1)
+        gcd, calls = math.gcd, Counter()
+
+        def counting(*args):
+            calls["gcd"] += 1
+            return gcd(*args)
+
+        monkeypatch.setattr(math, "gcd", counting)
+        assert _search_unit((10, 3, bounds, 128)) == []
+        assert calls == {}
 
     def test_checkpoint_roundtrip(self, tmp_path, scanned):
         path = tmp_path / "state.jsonl"
@@ -1155,7 +1180,7 @@ class TestCellScan:
         tried = {}
         _bucket_scan(g, a1, bounds, 128, tried)
 
-        left_plan, right_plan = _exponent_plan(exp_max, a1 == 1)
+        left_plan, right_plan = _exponent_plans(exp_max)[a1 == 1]
         zs_of, rights = dict(left_plan), set(right_plan)
 
         def formed(left, right):
@@ -1286,7 +1311,7 @@ class TestExponentPlan:
         for unit_a1, accepted in ((True, _accepted_unit_pairs), (False, _accepted_pairs)):
             if not unit_a1 and exp_max > 4:
                 continue  # eight nested exponents take too long from 5 on
-            lefts, rights = _exponent_plan(exp_max, unit_a1)
+            lefts, rights = _exponent_plans(exp_max)[unit_a1]
             for _, zs in lefts:
                 assert list(zs) == sorted(set(zs))
             plan = ({key: set(zs) for key, zs in lefts}, set(rights))
@@ -1297,12 +1322,12 @@ class TestExponentPlan:
         [(7, False, 260), (8, False, 386), (6, True, 36), (7, True, 49), (8, True, 64)],
     )
     def test_pattern_counts(self, exp_max, unit_a1, n_patterns):
-        lefts, rights = _exponent_plan(exp_max, unit_a1)
+        lefts, rights = _exponent_plans(exp_max)[unit_a1]
         assert len(lefts) == len(dict(lefts)) == n_patterns
         assert len(rights) == len(set(rights)) == n_patterns
 
     def test_counts_at_exponent_six(self):
-        lefts, rights = _exponent_plan(6, False)
+        lefts, rights = _exponent_plans(6)[False]
         assert len(lefts) == len(dict(lefts)) == 155
         assert len(rights) == len(set(rights)) == 155
         assert sum(len({z1 for z1, _ in zs}) for _, zs in lefts) == 527
@@ -1310,7 +1335,7 @@ class TestExponentPlan:
         assert sum(len(zs) for _, zs in lefts) == 1396
 
     def test_both_plans_solve_each_row_once(self, monkeypatch):
-        want = _exponent_plan(4, False), _exponent_plan(4, True)
+        want = _exponent_plans(4)
         solve_row = search_module._solve_row
         calls = []
 
@@ -1319,15 +1344,15 @@ class TestExponentPlan:
             return solve_row(*args)
 
         monkeypatch.setattr(search_module, "_solve_row", counting)
-        search_module._exponent_plans.cache_clear()
-        assert (_exponent_plan(4, False), _exponent_plan(4, True)) == want
+        _exponent_plans.cache_clear()
+        assert _exponent_plans(4) == want
         assert len(calls) == len(set(calls)) == 4**5
 
     @pytest.mark.parametrize("exp_max", [1, 2, 3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("unit_a1", [False, True])
     def test_right_patterns_carry_g_and_b1(self, exp_max, unit_a1):
         # the cell's residue test needs g^w2 * b1^y2 = 0 modulo g * b1
-        _, rights = _exponent_plan(exp_max, unit_a1)
+        _, rights = _exponent_plans(exp_max)[unit_a1]
         for x2, w2, y2 in rights:
             assert w2 >= 1 and y2 >= 1
             assert (x2 is None) == unit_a1
@@ -1335,7 +1360,7 @@ class TestExponentPlan:
     @pytest.mark.parametrize("exp_max", [1, 2, 3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("unit_a1", [False, True])
     def test_cell_groups_the_right_patterns_by_w2_and_y2(self, exp_max, unit_a1):
-        _, rights = _exponent_plan(exp_max, unit_a1)
+        _, rights = _exponent_plans(exp_max)[unit_a1]
         _, _, groups, x2s, (y_top, w_top) = _cell_patterns(exp_max, unit_a1)
         assert len(groups) == len({(y2, w2) for y2, w2, _ in groups})
         assert {(x2, w2, y2) for y2, w2, planned in groups for x2 in planned} == set(rights)
@@ -1356,7 +1381,7 @@ class TestExponentPlan:
     def test_cell_splits_the_left_patterns_by_y1(self, exp_max, unit_a1):
         # a y1 = 1 pattern keeps its z1 = 1 walk and hands its other z1 to
         # the interval route; every other pattern roots its z1 > 1 by sieve
-        left_plan, _ = _exponent_plan(exp_max, unit_a1)
+        left_plan, _ = _exponent_plans(exp_max)[unit_a1]
         lefts, units, _, _, _ = _cell_patterns(exp_max, unit_a1)
         assert len(lefts) == len(left_plan)
         walks_of = {}
@@ -1469,7 +1494,7 @@ class TestRetirement:
         bounds = SearchBounds(a1_max=a1, g_max=g, b1_max=b1_max, exp_max=exp_max)
         _search_unit((g, a1, bounds, 128))
 
-        lefts, _ = _exponent_plan(exp_max, a1 == 1)
+        lefts, _ = _exponent_plans(exp_max)[a1 == 1]
         carried = [
             (g**w1 * (1 if x1 is None else a1**x1), y1, {z1 for z1, _ in zs} - {1})
             for (w1, x1, y1), zs in lefts
@@ -1543,14 +1568,31 @@ def test_catalogue_box_at_exponent_seven_recalls_exactly_its_rows():
     assert rows == sorted(_box_rows(bounds))
 
 
-@pytest.mark.slow
-def test_catalogue_box_recalls_all_ten_rows():
+@pytest.fixture(scope="module")
+def catalogue_box_rows():
+    """The direct search's rows on the catalogue box, g <= 10, a1 <= 5, b1 <= 500, exp_max 6."""
     bounds = SearchBounds(g_max=10, a1_max=5, b1_max=500, exp_max=6)
+    return [n.as_tuple() for n in direct_search(bounds=bounds)]
+
+
+@pytest.mark.slow
+def test_catalogue_box_recalls_all_ten_rows(catalogue_box_rows):
     want = sorted(
         canonical_nine(make_nine_tuple(*row)).as_tuple()
         for row in KNOWN_ANOMALOUS_ROWS
     )
-    assert [n.as_tuple() for n in direct_search(bounds=bounds)] == want
+    assert catalogue_box_rows == want
+
+
+@pytest.mark.slow
+def test_the_generated_pipeline_rows_are_found_by_the_direct_search(
+    generated_outcome, catalogue_box_rows,
+):
+    # the two front ends agree: catalogue rows 1-6 from the equation list
+    # are among the direct search's rows on the catalogue box
+    rows = [n.as_tuple() for n in generated_outcome.anomalous]
+    assert len(rows) == 6
+    assert set(rows) <= set(catalogue_box_rows)
 
 
 def _box_sums(bounds):
