@@ -43,6 +43,7 @@ from .solve import (
     detect_special_case,
     enumerate_solutions,
     make_solution,
+    power_of_two_solutions,
 )
 from .triple import build_triple, g_decomposition
 
@@ -180,7 +181,7 @@ def criterion_4() -> tuple[bool, str]:
         failures.append(f"(4, 8, 32): tag {shape.tag if shape else None}")
     else:
         got = _sols(enumerate_solutions(t, 128))
-        want = [(3 * t_, 2 * t_, (6 * t_ + 1) // 5) for t_ in (4, 9, 14, 19)]
+        want = [(s.x, s.y, s.z) for s in power_of_two_solutions(2, 3, 5, 19)]
         if got != want:
             failures.append(f"(4, 8, 32): solutions {got}")
         elif got[0] != (12, 8, 5):
@@ -532,8 +533,6 @@ def criterion_8() -> tuple[bool, str]:
         if math.gcd(a, b) == 1:
             continue
         if _all_powers_of_two(a, b, c):
-            continue
-        if {a, b} == {3, 5} and c == 2:
             continue
         samples += 1
         sset = enumerate_solutions(build_triple(a, b, c), 128)

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import warnings
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .arith import as_power_of
 from .catalog import is_known_anomalous
@@ -125,25 +125,32 @@ def _verdict_str(nine: NineTuple, classification: Classification) -> str:
     return "anomalous, NOT in the catalogue"
 
 
+def _emit_rows(fmt: str, fields: Sequence[str], rows: Iterable[dict[str, object]]) -> None:
+    """Write rows as json lines, or as csv under a header of fields.
+
+    A csv cell is empty for None, and a parameter map is written as
+    _params_str writes it.
+    """
+    if fmt == "json-lines":
+        for row in rows:
+            print(json.dumps(row))
+        return
+    writer = csv.writer(sys.stdout)
+    writer.writerow(fields)
+    for row in rows:
+        writer.writerow("" if v is None else _params_str(v) if isinstance(v, dict) else v
+                        for v in (row[k] for k in fields))
+
+
 def _emit_nine_rows(
     nines: Sequence[NineTuple], classification: Classification, fmt: str, bound_bits: int | None
 ) -> None:
-    if fmt == "json-lines":
-        for nine in nines:
-            print(json.dumps(_nine_row(nine, classification, bound_bits)))
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(JSON_FIELDS)
-        for nine in nines:
-            row = _nine_row(nine, classification, bound_bits)
-            row["family"] = row["family"] or ""
-            row["params"] = _params_str(row["params"]) if row["params"] else ""
-            row["bound_bits"] = "" if row["bound_bits"] is None else row["bound_bits"]
-            writer.writerow([row[k] for k in JSON_FIELDS])
-    else:
-        for nine in nines:
-            print(f"({nine.a}, {nine.b}, {nine.c}): {_nine_identities(nine)}  "
-                  f"[{_verdict_str(nine, classification)}]")
+    if fmt != "human":
+        _emit_rows(fmt, JSON_FIELDS, (_nine_row(n, classification, bound_bits) for n in nines))
+        return
+    for nine in nines:
+        print(f"({nine.a}, {nine.b}, {nine.c}): {_nine_identities(nine)}  "
+              f"[{_verdict_str(nine, classification)}]")
 
 
 # ---------------------------------------------------------------------------
@@ -163,22 +170,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    fmt = args.format
-    class_index = {s: i for i, cls in enumerate(sset.classes, start=1) for s in cls}
-    if fmt == "json-lines":
-        for s in sset.solutions:
-            print(json.dumps({
-                "a": t.a, "b": t.b, "c": t.c,
-                "x": s.x, "y": s.y, "z": s.z,
-                "class": class_index[s],
-                "bound_bits": args.max_bits,
-            }))
-        return 0
-    if fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(("a", "b", "c", "x", "y", "z", "class", "bound_bits"))
-        for s in sset.solutions:
-            writer.writerow((t.a, t.b, t.c, s.x, s.y, s.z, class_index[s], args.max_bits))
+    if args.format != "human":
+        class_index = {s: i for i, cls in enumerate(sset.classes, start=1) for s in cls}
+        fields = ("a", "b", "c", "x", "y", "z", "class", "bound_bits")
+        _emit_rows(args.format, fields, (
+            dict(zip(fields, (t.a, t.b, t.c, s.x, s.y, s.z, class_index[s], args.max_bits)))
+            for s in sset.solutions
+        ))
         return 0
 
     n = count_N(sset)
@@ -205,25 +203,24 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _nine_from_args(args: argparse.Namespace) -> NineTuple:
-    v = args.values
+def _classified(
+    args: argparse.Namespace, coprime_message: str
+) -> tuple[NineTuple, Classification]:
+    """The nine values of args and their verdict; any ValueError is a data error.
+
+    Coprime bases are refused with coprime_message, followed by their gcd.
+    """
     try:
-        return make_nine_tuple(*v)
+        nine = make_nine_tuple(*args.values)
+        if math.gcd(nine.a, nine.b) == 1:
+            raise ValueError(f"{coprime_message}; gcd({nine.a}, {nine.b}) = 1")
+        return nine, classify_nine(nine)
     except ValueError as exc:
         raise InputDataError(str(exc)) from exc
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    nine = _nine_from_args(args)
-    if math.gcd(nine.a, nine.b) == 1:
-        raise InputDataError(
-            "classification requires gcd(a, b) > 1; "
-            f"gcd({nine.a}, {nine.b}) = 1"
-        )
-    try:
-        classification = classify_nine(nine)
-    except ValueError as exc:
-        raise InputDataError(str(exc)) from exc
+    nine, classification = _classified(args, "classification requires gcd(a, b) > 1")
     _emit_nine_rows([nine], classification, args.format, None)
     return 0
 
@@ -274,37 +271,26 @@ def cmd_family_gen(args: argparse.Namespace) -> int:
         _require_keys(tag, params, optional=frozenset({"w"}))
         params["w"] = _derive_w(tag, params)
     nine = gen_family(tag, params)
-    witness_params = {k: params[k] for k in sorted(params)}
     classification = classify_nine(nine)
     if classification.kind != "family":
         raise InternalInvariantError(
             f"generated family {tag} member {nine.as_tuple()} failed membership"
         )
-    fmt = args.format
-    if fmt == "human":
-        print(f"family {tag} member ({_params_str(witness_params)}):")
+    if args.format == "human":
+        print(f"family {tag} member ({_params_str(params)}):")
         print(f"  ({nine.a}, {nine.b}, {nine.c}): {_nine_identities(nine)}")
     else:
-        _emit_nine_rows([nine], classification, fmt, None)
+        _emit_nine_rows([nine], classification, args.format, None)
     return 0
 
 
 def cmd_family_check(args: argparse.Namespace) -> int:
-    nine = _nine_from_args(args)
-    if math.gcd(nine.a, nine.b) == 1:
-        raise InputDataError(
-            f"family membership needs a shared factor; gcd({nine.a}, {nine.b}) = 1"
-        )
-    try:
-        classification = classify_nine(nine)
-    except ValueError as exc:
-        raise InputDataError(str(exc)) from exc
-    fmt = args.format
-    if fmt == "human":
+    nine, classification = _classified(args, "family membership needs a shared factor")
+    if args.format == "human":
         print(f"({nine.a}, {nine.b}, {nine.c}) with {_nine_identities(nine)}:")
         print(f"  {_verdict_str(nine, classification)}")
     else:
-        _emit_nine_rows([nine], classification, fmt, None)
+        _emit_nine_rows([nine], classification, args.format, None)
     return 0
 
 
@@ -396,6 +382,14 @@ def _add_format_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_nine_values(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "values", type=int, nargs=9, metavar="N",
+        help="nine integers: a b c x1 y1 z1 x2 y2 z2",
+    )
+    _add_format_flag(parser)
+
+
 def _add_max_bits_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-bits", type=_positive_int, default=128,
@@ -420,11 +414,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("classify", help="classify a two-solution nine-tuple")
-    p.add_argument(
-        "values", type=int, nargs=9, metavar="N",
-        help="nine integers: a b c x1 y1 z1 x2 y2 z2",
-    )
-    _add_format_flag(p)
+    _add_nine_values(p)
     p.set_defaults(func=cmd_classify)
 
     family = sub.add_parser("family", help="generate or test family members")
@@ -440,11 +430,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_family_gen)
 
     p = fsub.add_parser("check", help="test a nine-tuple for family membership")
-    p.add_argument(
-        "values", type=int, nargs=9, metavar="N",
-        help="nine integers: a b c x1 y1 z1 x2 y2 z2",
-    )
-    _add_format_flag(p)
+    _add_nine_values(p)
     p.set_defaults(func=cmd_family_check)
 
     search = sub.add_parser("search", help="run one of the search drivers")

@@ -5,6 +5,7 @@ stdout and stderr, so the full parse / dispatch / render path
 runs exactly as a shell invocation would.
 """
 
+import csv
 import json
 import os
 import signal
@@ -523,6 +524,36 @@ class TestSearchPipeline:
         assert code == 3
         assert out == ""
         assert "not an anomalous Type A / Type B pair" in err
+
+
+class TestMachineFormats:
+    """csv carries the json-lines rows cell for cell, under the JSON_FIELDS header."""
+
+    @staticmethod
+    def _cell(field, value):
+        if value is None:
+            return ""
+        return cli_module._params_str(value) if field == "params" else str(value)
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "2", "6", "38", "1", "2", "1", "5", "1", "1"),
+        ("classify", "7", "49", "98", "2", "1", "1", "7", "3", "3"),
+        ("family", "gen", "III", "g=7", "j=1", "u=2", "d=1", "k=3"),
+        ("family", "check", "7", "49", "98", "2", "1", "1", "7", "3", "3"),
+        ("search", "direct", *TINY_BOX),
+        ("search", "pipeline", "--gen-rad", "1000", "--gen-height", "1000000"),
+    ], ids=["classify-anomalous", "classify-family", "family-gen", "family-check",
+            "search-direct", "search-pipeline"])
+    def test_csv_rows_are_the_json_rows(self, capsys, argv):
+        code, as_json, _ = run(capsys, *argv, "--format", "json-lines")
+        assert code == 0
+        code, as_csv, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        header, *lines = csv.reader(as_csv.splitlines())
+        assert tuple(header) == JSON_FIELDS
+        rows = [json.loads(line) for line in as_json.splitlines()]
+        assert rows
+        assert lines == [[self._cell(k, row[k]) for k in JSON_FIELDS] for row in rows]
 
 
 class TestDefaults:

@@ -2,7 +2,9 @@
 
 Every name a module imports is used in that module; no module imports
 dataclasses; multiprocessing is imported only inside a function, so
-that `import exptriple` does not load it.
+that `import exptriple` does not load it.  Only the command line module
+writes to the terminal: no other module calls print or names
+sys.stdout, which keeps library stats and progress off stdout.
 """
 
 import ast
@@ -89,3 +91,35 @@ def test_no_dataclasses(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_multiprocessing_only_inside_functions(path):
     assert "multiprocessing" not in imports_outside_functions(path.read_text(encoding="utf-8"))
+
+
+def stdout_uses(source: str) -> list[str]:
+    """Calls of print and mentions of sys.stdout, with their line numbers."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+            found.append(f"{node.lineno}: print")
+        elif (isinstance(node, ast.Attribute) and node.attr == "stdout"
+              and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+            found.append(f"{node.lineno}: sys.stdout")
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys" and any(
+            alias.name == "stdout" for alias in node.names
+        ):
+            found.append(f"{node.lineno}: sys.stdout")
+    return sorted(found)
+
+
+def test_finds_stdout_uses():
+    source = (
+        "import sys\nfrom sys import stdout as out\n"
+        "def f(x):\n    print(x, file=sys.stderr)\n    sys.stdout.write(x)\n"
+        "# print(x) in a comment\nlog = 'print(x)'\nsys.stderr.flush()\n"
+    )
+    assert stdout_uses(source) == ["2: sys.stdout", "4: print", "5: sys.stdout"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "cli.py"), ids=lambda p: p.name
+)
+def test_only_the_command_line_writes_to_stdout(path):
+    assert stdout_uses(path.read_text(encoding="utf-8")) == []
