@@ -331,8 +331,13 @@ def power_representations(n: int) -> list[tuple[int, int]]:
 def least_index(R: int, S: int, M: int, eps: int, cap: int = 10**6) -> int | None:
     """Least t >= 1 with M dividing R**t - (-1)**eps * S**t.
 
-    Returns None when no such t exists below the cap; the caller can tell
-    that apart from bad arguments, which raise ValueError.
+    Returns None when no such t exists up to the cap; the caller can tell
+    that apart from bad arguments, which raise ValueError.  A prime of M
+    dividing R or S leaves no index.  Otherwise t is the least t >= 1 with
+    q**t == (-1)**eps mod M for q = R * S**-1, found by baby-step
+    giant-step over [1, min(cap, M)], since q has order below M: that is
+    O(sqrt(min(cap, M))) products modulo M and no factoring, so a modulus
+    that factorize cannot split is answered all the same.
     """
     if R <= S or S < 1:
         raise ValueError("need R > S >= 1")
@@ -346,16 +351,26 @@ def least_index(R: int, S: int, M: int, eps: int, cap: int = 10**6) -> int | Non
         raise ValueError("cap must be positive")
     if M == 1:
         return 1
-    rm, sm = R % M, S % M
-    rt, st = 1, 1
-    for t in range(1, cap + 1):
-        rt = rt * rm % M
-        st = st * sm % M
-        if eps == 0:
-            if rt == st:
-                return t
-        elif (rt + st) % M == 0:
-            return t
+    if math.gcd(R * S, M) > 1:
+        # a prime of M dividing S (or R) would divide R**t (or S**t) too
+        return None
+    q = R * pow(S, -1, M) % M
+    # the least s >= 0 with q**s == (-1)**eps * q**-1 gives t = s + 1
+    target = (1 if eps == 0 else M - 1) * pow(q, -1, M) % M
+    span = min(cap, M)
+    step = math.isqrt(span - 1) + 1
+    baby: dict[int, int] = {}
+    qj = 1
+    for j in range(step):
+        baby.setdefault(qj, j)
+        qj = qj * q % M
+    giant = pow(q, -step, M)
+    for i in range(0, span, step):
+        j = baby.get(target)
+        if j is not None:
+            t = i + j + 1
+            return t if t <= cap else None
+        target = target * giant % M
     return None
 
 
@@ -403,18 +418,16 @@ def two_adic_profile(R: int, S: int, n1: int, n2: int) -> tuple[int, int]:
 
 
 def prime_support_subset(m: int, n: int) -> bool:
-    """True iff every prime dividing m also divides n (gcd stripping only)."""
+    """True iff every prime dividing m also divides n.
+
+    One modular power: no prime divides m more than m.bit_length() times,
+    so m divides n**m.bit_length() exactly when each of its primes divides
+    n.  solve._merge skips a walk on it, and same_prime_set_scan pairs
+    values by it.
+    """
     if m < 1 or n < 1:
         raise ValueError("need positive integers")
-    if m == 1:
-        return True
-    while True:
-        g = math.gcd(m, n)
-        if g == 1:
-            return m == 1
-        while g > 1:
-            m //= g
-            g = math.gcd(m, g)
+    return pow(n, m.bit_length(), m) == 0
 
 
 def same_prime_set_scan(R: int, S: int, nmax: int, sign: int) -> list[tuple[int, int]]:

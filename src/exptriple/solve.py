@@ -13,10 +13,13 @@ bases is split on p's valuations: two of v_p(a^x), v_p(b^y), v_p(c^z) are
 equal and no larger than the third.  Each case is a sequence in one step
 k, c^z - a^x, c^z - b^y or a^x + b^y, merged against a running power of
 the third base in O(K + Z) steps with no table.  A walk that can hold no
-hit is skipped: a difference u^k - v^k with u <= v is never positive, and
-a third base too large against u and v for p's valuations never meets
-the sequence.  Only pairwise-coprime bases, such as (3, 5, 2), keep the
-O(X * Z) double loop over (x, z).
+hit is skipped: a difference u^k - v^k with u <= v is never positive, a
+third base too large against u and v for p's valuations never meets the
+sequence, and a term whose every value has a prime that the third base
+lacks cannot be a power of it.  The last test reads only the first term
+of each class of k, because u - v divides every u^k - v^k and
+u^d + v^d divides u^k + v^k when k/d is odd.  Only pairwise-coprime
+bases, such as (3, 5, 2), keep the O(X * Z) double loop over (x, z).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 import warnings
 from typing import NamedTuple
 
-from .arith import as_power_of, two_adic
+from .arith import as_power_of, prime_support_subset, two_adic
 from .triple import Triple
 
 
@@ -174,6 +177,19 @@ def _merge(
     difference walk of c^z - a^x = b^y finds the same solution.  That is
     why neither >= for > in the sum's test nor dropping its factor 2 can
     change a result.
+
+    A walk that passes the size test is screened by the primes of its
+    terms, since a hit base^e has only base's primes.  u^d - v^d divides
+    u^k - v^k whenever d divides k, so u - v divides every difference
+    term, and a u - v with a prime that base lacks skips the difference
+    walk.  u^d + v^d divides u^k + v^k whenever k/d is odd, so the sum
+    terms fall into classes s = 0, 1, 2, ... of the k with 2^s exactly
+    dividing k, and u^(2^s) + v^(2^s) divides every term of class s.  A
+    class whose first term u^(2^s) + v^(2^s) is not below limit holds no
+    term below it, because its k are at least 2^s and the terms increase
+    with k.  So the sum walk is skipped when every class whose first term
+    is below limit has a first term with a prime that base lacks.  Both
+    screens run after the size test, which is cheaper and decides first.
     """
     g = math.gcd(e_u, e_v)
     du, dv = e_v // g, e_u // g
@@ -184,8 +200,16 @@ def _merge(
     if sign < 0:
         if u <= v or _power_exceeds(base, du * e_u, u, e_w, False, 2 * bits):
             return []  # the difference is never positive, or base^L >= u^e_w
-    elif _power_exceeds(base, du * e_u, 2 * max(u, v), e_w, True, 2 * bits):
-        return []  # base^L > (2*max(u, v))^e_w
+        if not prime_support_subset(u - v, base):
+            return []  # u - v divides every term
+    else:
+        if _power_exceeds(base, du * e_u, 2 * max(u, v), e_w, True, 2 * bits):
+            return []  # base^L > (2*max(u, v))^e_w
+        us, vs = u, v
+        while us + vs < limit and not prime_support_subset(us + vs, base):
+            us, vs = us * us, vs * vs
+        if us + vs >= limit:
+            return []  # every class with a term below limit has a prime base lacks
     out, uk, vk, k = [], u, v, 1
     power, e = base, 1
     while True:
@@ -206,13 +230,19 @@ def _valuation_split(t: Triple, limit: int) -> list[Solution]:
     For the smallest shared prime p with exponents (e_a, e_b, e_c), two of
     v_p(a^x) = x*e_a, v_p(b^y) = y*e_b and v_p(c^z) = z*e_c are equal and
     no larger than the third: c^z - a^x = b^y, c^z - b^y = a^x or
-    a^x + b^y = c^z is then one merge walk.
+    a^x + b^y = c^z is then one merge walk.  Solutions are built only
+    when some walk hits.
     """
     e_a, e_b, e_c = t.exponents[t.common_primes[0]]
     a, b, c = t.a, t.b, t.c
-    found = {Solution(x, y, z) for z, x, y in _merge(c, e_c, a, e_a, -1, b, e_b, limit)}
-    found.update(Solution(x, y, z) for z, y, x in _merge(c, e_c, b, e_b, -1, a, e_a, limit))
-    found.update(Solution(x, y, z) for x, y, z in _merge(a, e_a, b, e_b, 1, c, e_c, limit))
+    minus_a = _merge(c, e_c, a, e_a, -1, b, e_b, limit)
+    minus_b = _merge(c, e_c, b, e_b, -1, a, e_a, limit)
+    plus = _merge(a, e_a, b, e_b, 1, c, e_c, limit)
+    if not (minus_a or minus_b or plus):
+        return []
+    found = {Solution(x, y, z) for z, x, y in minus_a}
+    found.update(Solution(x, y, z) for z, y, x in minus_b)
+    found.update(Solution(x, y, z) for x, y, z in plus)
     return list(found)
 
 
@@ -241,7 +271,12 @@ def enumerate_solutions(t: Triple, max_bits: int) -> SolutionSet:
       w^L >= u^e_w (difference) or w^L > (2*max(u, v))^e_w (sum), for
       L = v_p(u), is too large for p's valuations (see _merge).  The test
       compares bit lengths and forms no number longer than twice the
-      bound.  The cases can overlap, so hits are collected in a set.  Cost
+      bound.  A case left is skipped too when w lacks a prime of u - v
+      (difference), or of u^(2^s) + v^(2^s) for every s with that sum
+      below the bound (sum): these divide every term of the walk, or of
+      the k with 2^s exactly dividing k.  One modular power decides each
+      (arith.prime_support_subset).  The cases can overlap, so hits are
+      collected in a set.  Cost
       O(K + Z) steps per case with no table: K values of k and the Z
       powers of c (X or Y for a or b).  A triple whose walks find nothing
       returns before any sorting or grouping.

@@ -10,7 +10,7 @@ reads that collapse, to place a catalogue row in the direct-search box.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from .arith import factorize
@@ -73,19 +73,34 @@ def _peel(n: int, p: int) -> tuple[int, int]:
     return e, n
 
 
+# Distinct gcd(a, b, c) values whose primes _gcd_primes keeps.
+_GCD_MEMO = 1024
+
+
+@lru_cache(maxsize=_GCD_MEMO)
+def _gcd_primes(d: int) -> tuple[int, ...]:
+    # factorize is looked up at each call, so a replaced factorize is the one
+    # called; a call that raises caches nothing
+    return factorize(d).primes
+
+
 def build_triple(a: int, b: int, c: int) -> Triple:
     """Populate the shared-prime fields from gcd(a, b, c).
 
     Only gcd(a, b, c) is factored; each of its primes is then divided out
     of a, b and c, which gives the exponent triples and a1, b1, c1.  A gcd
-    of 1 is never factored: the triple has no common prime.
+    of 1 is never factored: the triple has no common prime.  A grid of
+    triples repeats few gcds: gcd(a, b, c) is at most min(a, b), so a grid
+    with a, b <= B has at most B - 1 distinct gcds above 1.  _gcd_primes
+    keeps the primes of the _GCD_MEMO most recently used distinct gcds,
+    so a gcd is factored once while it stays among them.
     """
     if min(a, b, c) < 2:
         name, v = next((n, v) for n, v in (("a", a), ("b", b), ("c", c)) if v < 2)
         raise ValueError(f"base {name} must be at least 2, got {v}")
     if (d := math.gcd(a, b, c)) == 1:
         return Triple(a, b, c, (), {}, a, b, c)
-    common = factorize(d).primes
+    common = _gcd_primes(d)
     exponents = {}
     a1, b1, c1 = a, b, c
     for p in common:

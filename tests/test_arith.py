@@ -7,6 +7,7 @@ before the fast implementation and kept independent of it.
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -284,7 +285,48 @@ class TestPerfectPowers:
                     assert admitted[pow(r, p, m)], (p, m, r)
 
 
+def scan_least_index(R: int, S: int, M: int, eps: int, cap: int) -> int | None:
+    # oracle: the first t in 1..cap with R^t == (-1)^eps * S^t mod M
+    sign = 1 if eps == 0 else -1
+    rt = st_ = 1
+    for t in range(1, cap + 1):
+        rt, st_ = rt * R % M, st_ * S % M
+        if (rt - sign * st_) % M == 0:
+            return t
+    return None
+
+
 class TestLeastIndex:
+    @given(
+        st.integers(min_value=1, max_value=200),
+        st.integers(min_value=1, max_value=200),
+        st.integers(min_value=1, max_value=10**4),
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=1, max_value=2 * 10**4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_scan(self, s, delta, m, eps, cap):
+        r = s + delta
+        if math.gcd(r, s) != 1:
+            return
+        assert least_index(r, s, m, eps, cap=cap) == scan_least_index(r, s, m, eps, cap)
+
+    def test_unfactorable_modulus(self):
+        # factorize gives up on M, two Mersenne primes of 61 and 89 bits;
+        # the index of 2 is the lcm of their orders 61 and 89, and the
+        # order 5429 is odd, so 2^t = -1 never holds
+        m = (2**61 - 1) * (2**89 - 1)
+        assert least_index(2, 1, m, 0) == 61 * 89 == scan_least_index(2, 1, m, 0, 6000)
+        assert least_index(2, 1, m, 1, cap=6000) is None
+        assert scan_least_index(2, 1, m, 1, 6000) is None
+        assert least_index(2, 1, m, 0, cap=61 * 89 - 1) is None
+
+    def test_large_prime_modulus_is_fast(self):
+        # the scan took about 0.3 s to walk the whole default cap of 10^6
+        start = time.perf_counter()
+        assert least_index(3, 2, 10**9 + 7, 1) is None
+        assert time.perf_counter() - start < 0.01
+
     def test_frozen_examples(self):
         # oracle: brute scan of R^t -/+ S^t mod M by hand for tiny cases
         assert least_index(2, 1, 7, 0) == 3  # 2^3 - 1 = 7

@@ -309,6 +309,89 @@ class TestSizeTest:
         assert time.perf_counter() - start < 1
 
 
+@pytest.fixture
+def screen_verdicts(monkeypatch):
+    """The verdict of every prime_support_subset(m, n) call solve makes."""
+    original, verdicts = solve_module.prime_support_subset, {}
+
+    def recording(m, n):
+        verdicts[m, n] = original(m, n)
+        return verdicts[m, n]
+
+    monkeypatch.setattr(solve_module, "prime_support_subset", recording)
+    return verdicts
+
+
+class TestPrimeScreen:
+    """The walks that _merge skips for a prime their third base lacks hold no hit."""
+
+    @given(
+        st.sampled_from((2, 3, 5)),
+        st.tuples(*(st.integers(min_value=1, max_value=3),) * 3),
+        st.tuples(*(st.sampled_from(_PARTS),) * 3),
+        st.booleans(),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=8, max_value=160),
+    )
+    @example(5, (1, 1, 1), (1, 2, 1), True, 2, 64)  # (5, 10, 125): sum class s = 1
+    @example(2, (1, 1, 1), (1, 3, 11), False, 1, 64)  # (2, 20, 22): the c - a walk has u + v = 24
+    @example(2, (1, 1, 1), (1, 5, 3), True, 4, 64)  # (2, 10, 10016): sum class s = 2
+    @settings(max_examples=300, deadline=None)
+    def test_planted_on_a_walk(self, p, exps, parts, is_sum, k, max_bits):
+        # a = p^alpha*a1 and so on.  The plant sits at step k of one walk:
+        # a sum c = a^x + b^y with x*alpha = y*beta, or a difference
+        # b = c^z - a^x with x*alpha = z*gamma.  An even k puts it past the
+        # first class of a sum walk.
+        (alpha, beta, gamma), (a1, b1, c1) = exps, parts
+        a, b, c = p**alpha * a1, p**beta * b1, p**gamma * c1
+        planted = None
+        if is_sum:
+            h = math.gcd(alpha, beta)
+            x, y = k * beta // h, k * alpha // h
+            c, planted = a**x + b**y, (x, y, 1)
+        else:
+            h = math.gcd(alpha, gamma)
+            x, z = k * gamma // h, k * alpha // h
+            if c**z - a**x >= 2:
+                b, planted = c**z - a**x, (x, 1, z)
+        assert_matches_reference(a, b, c, max_bits)
+        if planted is not None and c ** planted[2] < 1 << max_bits:
+            sset = enumerate_solutions(build_triple(a, b, c), max_bits)
+            assert planted in sol_tuples(sset)
+
+    @pytest.mark.parametrize(
+        "abc, screened",
+        [
+            # c - a walk: u - v = 22 - 2 = 20 has 5, which 6 lacks;
+            # 2^4 + 6 = 22 comes from the c - b walk
+            ((2, 6, 22), [(20, 6)]),
+            # c - a walk: u - v = 44 - 2^2 = 40 has 5; 2^3 + 6^2 = 44
+            # comes from the c - b walk
+            ((2, 6, 44), [(40, 6)]),
+            # sum walk: the first terms 2 + 10, 2^2 + 10^2, 2^4 + 10^4, 2^8 +
+            # 10^8 and 2^16 + 10^16 of its five classes below 2^64 each have
+            # a prime 14 lacks; 2^2 + 10 = 14 comes from the c - b walk
+            ((2, 10, 14), [(2 ** (1 << s) + 10 ** (1 << s), 14) for s in range(5)]),
+        ],
+        ids=["(2, 6, 22)", "(2, 6, 44)", "(2, 10, 14)"],
+    )
+    def test_examples_skip_a_walk(self, screen_verdicts, abc, screened):
+        t = build_triple(*abc)
+        sset = enumerate_solutions(t, 64)
+        assert [screen_verdicts.get(mn) for mn in screened] == [False] * len(screened)
+        assert sset.solutions
+        assert sset == _reference_enumerate(t, 64)
+
+    def test_five_ten_five(self, screen_verdicts):
+        # u + v = 15 has the prime 3, but u^2 + v^2 = 125 = 5^3: only the
+        # sum walk's class of even k finds 5^2 + 10^2 = 5^3
+        t = build_triple(5, 10, 5)
+        sset = enumerate_solutions(t, 64)
+        assert sol_tuples(sset) == [(2, 2, 3)]
+        assert screen_verdicts[15, 5] is False and screen_verdicts[125, 5] is True
+        assert sset == _reference_enumerate(t, 64)
+
+
 class TestEarlyExit:
     @pytest.mark.parametrize("abc", [(6, 10, 15), (4, 6, 9), (2, 6, 3)])
     def test_prime_of_exactly_two_bases(self, abc):

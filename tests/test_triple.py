@@ -77,6 +77,62 @@ class TestBuildTriple:
         assert t.exponents == {}
         assert (t.a1, t.b1, t.c1) == abc
 
+    @pytest.mark.parametrize("abc", [(3, 6, 15), (30, 70, 4930), (2**61 - 1, 2 * (2**61 - 1), (2**61 - 1) ** 2)])
+    def test_cold_and_warm_gcd_memo_agree(self, abc):
+        triple_module._gcd_primes.cache_clear()
+        cold = build_triple(*abc)
+        assert build_triple(*abc) == cold
+
+    def test_a_raising_factorize_is_not_memoized(self, monkeypatch):
+        # factorize is looked up by name at each call: the raise reaches the
+        # caller, and the next call factors the same gcd again
+        real, calls = triple_module.factorize, []
+
+        def flaky(n):
+            calls.append(n)
+            if len(calls) == 1:
+                raise RuntimeError("first call fails")
+            return real(n)
+
+        triple_module._gcd_primes.cache_clear()
+        monkeypatch.setattr(triple_module, "factorize", flaky)
+        with pytest.raises(RuntimeError):
+            build_triple(6, 12, 18)
+        assert build_triple(6, 12, 18).common_primes == (2, 3)
+        assert calls == [6, 6]
+        build_triple(12, 6, 30)  # the same gcd, now memoized
+        assert calls == [6, 6]
+
+    def test_gcd_memo_stays_within_its_size(self):
+        triple_module._gcd_primes.cache_clear()
+        size = triple_module._GCD_MEMO
+        for d in range(2, size + 100):
+            build_triple(d, d, 2 * d)
+        info = triple_module._gcd_primes.cache_info()
+        assert info.maxsize == size and info.currsize == size
+
+    def test_census_grid_factors_each_gcd_once(self, monkeypatch):
+        # the benchmark census: a <= b <= 40 with gcd(a, b) > 1, c <= 160;
+        # every gcd(a, b, c) is at most 40, so at most 39 exceed 1
+        real, calls = triple_module.factorize, []
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        triple_module._gcd_primes.cache_clear()
+        monkeypatch.setattr(triple_module, "factorize", counting)
+        grid = [
+            (a, b, c)
+            for a in range(2, 41)
+            for b in range(a, 41)
+            if math.gcd(a, b) > 1
+            for c in range(2, 161)
+        ]
+        shared = [build_triple(*abc) for abc in grid if math.gcd(*abc) > 1]
+        assert (len(grid), len(shared)) == (52_470, 22_528)
+        assert len(calls) == len(set(calls)) == 39
+
     def test_rejects_small_bases(self):
         with pytest.raises(ValueError):
             build_triple(1, 6, 15)
